@@ -9,11 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from math import lcm, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
+    BudgetExceeded,
     GoodOutOfRange,
     NegativeUtility,
     RowSumNotOne,
@@ -75,6 +76,16 @@ class Instance:
 
     def goods(self) -> range:
         return range(1, self.m + 1)
+
+    @cached_property
+    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        # cached_property writes the instance __dict__ directly, so it works
+        # on a frozen dataclass without entering __eq__ or __hash__
+        scale = 1
+        for row in self.u:
+            for x in row:
+                scale = lcm(scale, x.denominator)
+        return scale, tuple(tuple(int(x * scale) for x in row) for row in self.u)
 
 
 @dataclass(frozen=True)
@@ -284,52 +295,57 @@ def extended_ratio(numerator: Fraction, denominator: Fraction) -> ExtendedValue:
     return INFINITY
 
 
-def iter_owner_vectors(n: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All n**m owner vectors in lexicographic order."""
-    owner = [1] * m
-    while True:
-        yield tuple(owner)
-        j = m - 1
-        while j >= 0 and owner[j] == n:
-            owner[j] = 1
-            j -= 1
-        if j < 0:
-            return
-        owner[j] += 1
-
-
-@lru_cache(maxsize=512)
-def _scaled_rows_cached(u: tuple[tuple[Fraction, ...], ...]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    denom = 1
-    for row in u:
-        for x in row:
-            denom = lcm(denom, x.denominator)
-    rows = tuple(tuple(int(x * denom) for x in row) for row in u)
-    return denom, rows
-
-
 def scaled_rows(inst: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Utilities rescaled to integers by the common denominator.
 
     Integer arithmetic on the scaled matrix is exact and much faster than
     Fraction arithmetic in enumeration loops; divide by the returned scale
-    (or scale**n for products) to recover true values.
+    (or scale**n for products) to recover true values. Computed once per
+    instance; every call returns the same object.
     """
-    return _scaled_rows_cached(inst.u)
+    return inst._scaled
+
+
+def scaled_utilities(
+    rows: Sequence[Sequence[int]], n: int, owner: Sequence[int]
+) -> list[int]:
+    """Per-agent scaled utilities of the allocation given by `owner`."""
+    util = [0] * n
+    for j, a in enumerate(owner):
+        util[a - 1] += rows[a - 1][j]
+    return util
 
 
 def iter_allocations_scaled(
-    rows: Sequence[Sequence[int]], n: int, m: int
+    inst: Instance,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    prune: Callable[[list[int], int], bool] | None = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield (owner, per-agent scaled utility) in lexicographic order.
 
+    Raises BudgetExceeded before yielding anything when n**m exceeds `cap`.
     The yielded lists are reused between iterations; copy before storing.
+
+    After the first allocation, `prune(util, k)` is asked about every prefix
+    owner[:k] with 0 < k < m that the enumeration enters, where util holds
+    the scaled utilities of goods 1..k alone (valid only during the call).
+    Returning True skips every allocation that extends that prefix.
     """
+    n, m = inst.n, inst.m
+    total = n**m
+    if total > cap:
+        raise BudgetExceeded(total, cap)
+    _, rows = scaled_rows(inst)
     owner = [1] * m
     util = [0] * n
     row0 = rows[0]
     for j in range(m):
         util[0] += row0[j]
+    # tail[k]: agent 1's value for goods k+1..m. A carry resets every later
+    # good to agent 1, so util less tail[k] on agent 1 is the prefix's util.
+    tail = [0] * (m + 1)
+    for j in range(m - 1, -1, -1):
+        tail[j] = tail[j + 1] + row0[j]
     while True:
         yield owner, util
         j = m - 1
@@ -340,9 +356,19 @@ def iter_allocations_scaled(
                 owner[j] = 1
                 util[0] += row0[j]
                 j -= 1
+                continue
+            owner[j] = a + 1
+            util[a] += rows[a][j]
+            if prune is None:
+                break
+            for k in range(j + 1, m):
+                util[0] -= tail[k]
+                rejected = prune(util, k)
+                util[0] += tail[k]
+                if rejected:
+                    j = k - 1  # advance the last good of the rejected prefix
+                    break
             else:
-                owner[j] = a + 1
-                util[a] += rows[a][j]
                 break
         if j < 0:
             return

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import BudgetExceeded, NotACycle
+from .errors import NotACycle
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
@@ -15,6 +15,7 @@ from .model import (
     agent_utilities,
     iter_allocations_scaled,
     scaled_rows,
+    scaled_utilities,
 )
 
 
@@ -152,14 +153,9 @@ def is_pareto_optimal(
 ) -> bool:
     """Exhaustively certify that no allocation strongly dominates this one."""
     _check_pair(inst, alloc)
-    total = inst.n ** inst.m
-    if total > cap:
-        raise BudgetExceeded(total, cap)
     _, rows = scaled_rows(inst)
-    base = [0] * inst.n
-    for j, a in enumerate(alloc.owner):
-        base[a - 1] += rows[a - 1][j]
-    for _, util in iter_allocations_scaled(rows, inst.n, inst.m):
+    base = scaled_utilities(rows, inst.n, alloc.owner)
+    for _, util in iter_allocations_scaled(inst, cap):
         if all(u >= v for u, v in zip(util, base)) and any(
             u > v for u, v in zip(util, base)
         ):
@@ -177,13 +173,7 @@ def pareto_optimal_allocations(
     vectors in decreasing-sum order only ever needs comparisons against the
     running maximal set), the second yields the allocations attaining them.
     """
-    total = inst.n ** inst.m
-    if total > cap:
-        raise BudgetExceeded(total, cap)
-    _, rows = scaled_rows(inst)
-    distinct = {
-        tuple(util) for _, util in iter_allocations_scaled(rows, inst.n, inst.m)
-    }
+    distinct = {tuple(util) for _, util in iter_allocations_scaled(inst, cap)}
     front: list[tuple[int, ...]] = []
     for vec in sorted(distinct, key=lambda v: (-sum(v), v)):
         dominated = False
@@ -194,7 +184,7 @@ def pareto_optimal_allocations(
         if not dominated:
             front.append(vec)
     front_set = set(front)
-    for owner, util in iter_allocations_scaled(rows, inst.n, inst.m):
+    for owner, util in iter_allocations_scaled(inst, cap):
         if tuple(util) in front_set:
             yield Allocation(inst.n, tuple(owner))
 

@@ -15,6 +15,7 @@ from .model import (
     Instance,
     _check_pair,
     scaled_rows,
+    scaled_utilities,
 )
 from .properties import envy_graph
 
@@ -117,28 +118,29 @@ def enumerate_rr_allocations(
     n, m = inst.n, inst.m
     outcomes: set[tuple[int, ...]] = set()
     leaves = 0
-
-    owner = [0] * m
-
-    def branch(ordering: tuple[int, ...], remaining: list[int], k: int) -> None:
-        nonlocal leaves
-        if not remaining:
-            leaves += 1
-            if leaves > cap:
-                raise BudgetExceeded(leaves, cap)
-            outcomes.add(tuple(owner))
-            return
-        agent = ordering[k % n]
-        row = rows[agent - 1]
-        best = max(row[g - 1] for g in remaining)
-        for g in remaining:
-            if row[g - 1] == best:
-                owner[g - 1] = agent
-                branch(ordering, [h for h in remaining if h != g], k + 1)
-        # owner entries for removed goods are overwritten on the next branch
-
+    # owner[j] holds good j+1's picker on the current path; slot m absorbs
+    # the root's empty pick. A sibling subtree only reassigns goods still
+    # remaining at the shared parent, so the path's earlier picks stay put.
+    owner = [0] * (m + 1)
     for ordering in itertools.permutations(inst.agents()):
-        branch(ordering, list(inst.goods()), 0)
+        # entries (picks made, 0-based goods remaining, last good, its picker)
+        stack = [(0, list(range(m)), m, 0)]
+        while stack:
+            k, remaining, good, picker = stack.pop()
+            owner[good] = picker
+            if not remaining:
+                leaves += 1
+                if leaves > cap:
+                    raise BudgetExceeded(leaves, cap)
+                outcomes.add(tuple(owner[:m]))
+                continue
+            agent = ordering[k % n]
+            row = rows[agent - 1]
+            top = max(map(row.__getitem__, remaining))
+            for i in range(len(remaining) - 1, -1, -1):  # lowest tied good pops first
+                g = remaining[i]
+                if row[g] == top:
+                    stack.append((k + 1, remaining[:i] + remaining[i + 1 :], g, agent))
     return [Allocation(n, o) for o in sorted(outcomes)]
 
 
@@ -206,13 +208,6 @@ def balanced_from_mew(inst: Instance, alloc: Allocation) -> Allocation:
     return Allocation(n, tuple(owner))
 
 
-def _matching_utilities(rows, owner: tuple[int, ...]) -> tuple[int, ...]:
-    util = [0] * len(owner)
-    for j, a in enumerate(owner):
-        util[a - 1] += rows[a - 1][j]
-    return tuple(util)
-
-
 def dominating_rr_one_good(
     inst: Instance, alloc: Allocation
 ) -> tuple[Allocation, RRSchedule]:
@@ -232,12 +227,12 @@ def dominating_rr_one_good(
         raise PreconditionViolated("every agent must hold exactly one good")
 
     _, rows = scaled_rows(inst)
-    base = _matching_utilities(rows, alloc.owner)
+    base = scaled_utilities(rows, inst.n, alloc.owner)
     dominating = []
     # permutations of the agents = owner vectors of all one-good-each
     # allocations, already in lexicographic order
     for p in itertools.permutations(inst.agents()):
-        util = _matching_utilities(rows, p)
+        util = scaled_utilities(rows, inst.n, p)
         if all(x >= y for x, y in zip(util, base)):
             dominating.append((p, util))
 

@@ -7,9 +7,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import prod
+from operator import add
 from typing import Callable, Iterator
 
-from .errors import BudgetExceeded
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_RR_BRANCH_CAP,
@@ -18,8 +18,8 @@ from .model import (
     Instance,
     extended_ratio,
     iter_allocations_scaled,
-    iter_owner_vectors,
     scaled_rows,
+    scaled_utilities,
 )
 from .properties import is_balanced, is_ef1
 from .roundrobin import enumerate_rr_allocations
@@ -43,7 +43,13 @@ class PropertyFilter(str, Enum):
 @dataclass(frozen=True)
 class SolveResult:
     """Exact optimum, its lexicographically smallest witness, and the number
-    of allocations examined along the way."""
+    of candidate allocations examined.
+
+    What `explored` counts depends on the path: n**m for the none, ef1 and ba
+    filters; 2 * n**m for muw and mnw (one pass finds the welfare maximum,
+    one optimizes over its argmax set); the leaves reached by the pruned
+    search; and the distinct round-robin outcomes for rr.
+    """
 
     value: Fraction
     witness: Allocation
@@ -54,11 +60,8 @@ def enumerate_allocations(
     inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Allocation]:
     """All n**m allocations as owner vectors in lexicographic order."""
-    total = inst.n ** inst.m
-    if total > cap:
-        raise BudgetExceeded(total, cap)
-    for owner in iter_owner_vectors(inst.n, inst.m):
-        yield Allocation(inst.n, owner)
+    for owner, _ in iter_allocations_scaled(inst, cap):
+        yield Allocation(inst.n, tuple(owner))
 
 
 def _scaled_objective(objective: Objective) -> Callable[[list[int]], int]:
@@ -75,116 +78,6 @@ def _true_value(objective: Objective, scaled: int, scale: int, n: int) -> Fracti
     return Fraction(scaled, scale)
 
 
-def _scan(
-    inst: Instance,
-    objective: Objective,
-    accept: Callable[[tuple[int, ...]], bool] | None,
-) -> tuple[int, tuple[int, ...]]:
-    """Best scaled objective over accepted allocations, lex-first witness.
-
-    The filter is only evaluated on strict improvements, so expensive
-    predicates run a handful of times instead of n**m times.
-    """
-    scale, rows = scaled_rows(inst)
-    value = _scaled_objective(objective)
-    best: int | None = None
-    witness: tuple[int, ...] | None = None
-    for owner, util in iter_allocations_scaled(rows, inst.n, inst.m):
-        v = value(util)
-        if (best is None or v > best) and (accept is None or accept(tuple(owner))):
-            best = v
-            witness = tuple(owner)
-    assert best is not None and witness is not None
-    return best, witness
-
-
-def _scan_argmax_restricted(
-    inst: Instance, welfare: Objective, objective: Objective
-) -> tuple[int, tuple[int, ...], int]:
-    """Optimize `objective` over the allocations maximizing `welfare`."""
-    scale, rows = scaled_rows(inst)
-    welfare_value = _scaled_objective(welfare)
-    obj_value = _scaled_objective(objective)
-    top = max(
-        welfare_value(util)
-        for _, util in iter_allocations_scaled(rows, inst.n, inst.m)
-    )
-    best: int | None = None
-    witness: tuple[int, ...] | None = None
-    for owner, util in iter_allocations_scaled(rows, inst.n, inst.m):
-        if welfare_value(util) != top:
-            continue
-        v = obj_value(util)
-        if best is None or v > best:
-            best = v
-            witness = tuple(owner)
-    assert best is not None and witness is not None
-    return best, witness, 2 * inst.n**inst.m
-
-
-def _egalitarian_pruned(inst: Instance) -> tuple[int, tuple[int, ...], int]:
-    """Depth-first egalitarian maximization with an optimistic-completion
-    bound: prune once no completion can strictly beat the incumbent. Visits
-    leaves in lexicographic order, so value and witness match the
-    exhaustive scan exactly.
-    """
-    scale, rows = scaled_rows(inst)
-    n, m = inst.n, inst.m
-    suffix = [[0] * (m + 1) for _ in range(n)]
-    for i in range(n):
-        for j in range(m - 1, -1, -1):
-            suffix[i][j] = suffix[i][j + 1] + rows[i][j]
-
-    owner = [0] * m
-    util = [0] * n
-    best: int | None = None
-    witness: tuple[int, ...] | None = None
-    explored = 0
-
-    def descend(j: int) -> None:
-        nonlocal best, witness, explored
-        if j == m:
-            explored += 1
-            v = min(util)
-            if best is None or v > best:
-                best = v
-                witness = tuple(owner)
-            return
-        if best is not None:
-            bound = min(util[i] + suffix[i][j] for i in range(n))
-            if bound <= best:
-                return
-        for a in range(1, n + 1):
-            owner[j] = a
-            util[a - 1] += rows[a - 1][j]
-            descend(j + 1)
-            util[a - 1] -= rows[a - 1][j]
-
-    descend(0)
-    assert best is not None and witness is not None
-    return best, witness, explored
-
-
-def _rr_restricted(
-    inst: Instance, objective: Objective, rr_cap: int
-) -> tuple[int, tuple[int, ...], int]:
-    candidates = enumerate_rr_allocations(inst, rr_cap)
-    scale, rows = scaled_rows(inst)
-    value = _scaled_objective(objective)
-    best: int | None = None
-    witness: tuple[int, ...] | None = None
-    for alloc in candidates:  # already in lexicographic order
-        util = [0] * inst.n
-        for j, a in enumerate(alloc.owner):
-            util[a - 1] += rows[a - 1][j]
-        v = value(util)
-        if best is None or v > best:
-            best = v
-            witness = alloc.owner
-    assert best is not None and witness is not None
-    return best, witness, len(candidates)
-
-
 def max_welfare(
     inst: Instance,
     objective: Objective,
@@ -195,45 +88,70 @@ def max_welfare(
 ) -> SolveResult:
     """Exact optimum of `objective` over allocations satisfying `prop`.
 
-    The welfare-maximizer filters first compute that welfare's global
-    maximum and then optimize the objective over its argmax set. `pruned`
-    enables branch-and-bound for the plain egalitarian objective; results
-    are identical to the exhaustive scan.
+    One loop keeps the first strict improvement over a lexicographically
+    ordered stream of candidates, so the witness is the lex-first optimum.
+    EF1 and balancedness are checked only on improvements. The
+    welfare-maximizer filters first compute that welfare's global maximum
+    and then stream its argmax set. `pruned` enables branch-and-bound for
+    the plain egalitarian objective; results are identical to the
+    exhaustive scan.
     """
     objective = Objective(objective)
     prop = PropertyFilter(prop)
     if pruned and (objective, prop) != (Objective.EGALITARIAN, PropertyFilter.NONE):
         raise ValueError("pruning only applies to the unfiltered egalitarian solve")
 
+    n, m = inst.n, inst.m
+    scale, rows = scaled_rows(inst)
+    value = _scaled_objective(objective)
+    accept: Callable[[tuple[int, ...]], bool] | None = None
+    skipped = 0  # leaves below prefixes the pruned search rejected
+    best: int | None = None
     if prop is PropertyFilter.ROUND_ROBIN:
-        best, witness, explored = _rr_restricted(inst, objective, rr_cap)
-    else:
-        total = inst.n ** inst.m
-        if total > cap:
-            raise BudgetExceeded(total, cap)
-        if prop in (PropertyFilter.MAX_UTILITARIAN, PropertyFilter.MAX_NASH):
-            welfare = (
-                Objective.UTILITARIAN
-                if prop is PropertyFilter.MAX_UTILITARIAN
-                else Objective.NASH
-            )
-            best, witness, explored = _scan_argmax_restricted(inst, welfare, objective)
-        elif pruned:
-            best, witness, explored = _egalitarian_pruned(inst)
-        else:
-            accept: Callable[[tuple[int, ...]], bool] | None = None
-            if prop is PropertyFilter.EF1:
-                accept = lambda owner: is_ef1(inst, Allocation(inst.n, owner))
-            elif prop is PropertyFilter.BALANCED:
-                accept = lambda owner: is_balanced(Allocation(inst.n, owner))
-            best, witness = _scan(inst, objective, accept)
-            explored = total
+        outcomes = enumerate_rr_allocations(inst, rr_cap)  # lexicographic
+        candidates = ((a.owner, scaled_utilities(rows, n, a.owner)) for a in outcomes)
+        explored = len(outcomes)
+    elif prop in (PropertyFilter.MAX_UTILITARIAN, PropertyFilter.MAX_NASH):
+        welfare = sum if prop is PropertyFilter.MAX_UTILITARIAN else prod
+        top = max(welfare(util) for _, util in iter_allocations_scaled(inst, cap))
+        candidates = (
+            (owner, util)
+            for owner, util in iter_allocations_scaled(inst, cap)
+            if welfare(util) == top
+        )
+        explored = 2 * n**m
+    elif pruned:
+        # rest[k][i]: the most agent i+1 can still gain from goods k+1..m
+        rest = [tuple(sum(row[k:]) for row in rows) for k in range(m + 1)]
 
-    scale, _ = scaled_rows(inst)
+        def cannot_improve(prefix: list[int], k: int) -> bool:
+            nonlocal skipped
+            if best is not None and min(map(add, prefix, rest[k])) <= best:
+                skipped += n ** (m - k)
+                return True
+            return False
+
+        candidates = iter_allocations_scaled(inst, cap, prune=cannot_improve)
+        explored = n**m
+    else:
+        candidates = iter_allocations_scaled(inst, cap)
+        explored = n**m
+        if prop is PropertyFilter.EF1:
+            accept = lambda owner: is_ef1(inst, Allocation(n, owner))
+        elif prop is PropertyFilter.BALANCED:
+            accept = lambda owner: is_balanced(Allocation(n, owner))
+
+    witness: tuple[int, ...] | None = None
+    for owner, util in candidates:
+        v = value(util)
+        if (best is None or v > best) and (accept is None or accept(tuple(owner))):
+            best = v
+            witness = tuple(owner)
+    assert best is not None and witness is not None
     return SolveResult(
-        value=_true_value(objective, best, scale, inst.n),
-        witness=Allocation(inst.n, witness),
-        explored=explored,
+        value=_true_value(objective, best, scale, n),
+        witness=Allocation(n, witness),
+        explored=explored - skipped,
     )
 
 

@@ -49,6 +49,24 @@ class TestSolve:
         monkeypatch.setenv("EGALPOF_CAP", "lots")
         assert main(["solve", "--instance", str(thm4_file), "--objective", "ew"]) == 2
 
+    def test_long_round_robin_instance(self, tmp_path, capsys):
+        # 1100 picks in a row: deeper than the default recursion limit
+        m = 1100
+        total = m * (m + 1) // 2
+        row = [f"{j}/{total}" for j in range(1, m + 1)]
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps({"n": 2, "m": m, "utilities": [row, row[::-1]]}))
+        argv = ["--instance", str(path), "--objective", "ew", "--property", "rr"]
+        assert main(["solve", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["witness"] == [2] * (m // 2) + [1] * (m // 2)
+        assert payload["explored"] == 1
+        # pof also needs the unrestricted optimum over 2**1100 allocations
+        assert main(["pof", "--instance", str(path), "--property", "rr"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestGenerate:
     def test_thm1_with_pad(self, tmp_path, capsys):

@@ -1,17 +1,23 @@
 import dataclasses
+import itertools
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
+from hypothesis import given
 
+from _strategies import instances
 from egalpof import (
     INFINITY,
     Allocation,
+    BudgetExceeded,
     ExtendedValue,
     GoodOutOfRange,
     NegativeUtility,
     RowSumNotOne,
     TooFewAgents,
     ZeroRow,
+    agent_utilities,
     bundle_utility,
     egalitarian_welfare,
     extended_ratio,
@@ -20,7 +26,7 @@ from egalpof import (
     utilitarian_welfare,
     validate_instance,
 )
-from egalpof.model import iter_owner_vectors
+from egalpof.model import iter_allocations_scaled, scaled_rows
 from egalpof import gen_thm4, gen_thm5
 
 
@@ -170,6 +176,42 @@ class TestExtendedValue:
             INFINITY.as_fraction()
 
 
-def test_iter_owner_vectors_lexicographic():
-    assert list(iter_owner_vectors(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
-    assert sum(1 for _ in iter_owner_vectors(3, 5)) == 243
+@given(instances())
+def test_scaled_rows_is_exact_and_computed_once(inst):
+    scale, rows = scaled_rows(inst)
+    assert scale == lcm(*(x.denominator for row in inst.u for x in row))
+    for i in range(inst.n):
+        for j in range(inst.m):
+            assert F(rows[i][j], scale) == inst.u[i][j]
+    assert scaled_rows(inst) is scaled_rows(inst)
+
+
+def test_iter_allocations_scaled_lexicographic():
+    inst = gen_thm5(F(3, 2), F(2, 5))
+    scale, _ = scaled_rows(inst)
+    seen = []
+    for owner, util in iter_allocations_scaled(inst):
+        seen.append(tuple(owner))
+        alloc = Allocation(inst.n, tuple(owner))
+        assert [F(x, scale) for x in util] == list(agent_utilities(inst, alloc))
+    assert seen[:3] == [(1, 1, 1), (1, 1, 2), (1, 2, 1)]
+    assert seen == sorted(seen) and len(set(seen)) == 2**3
+    with pytest.raises(BudgetExceeded) as err:
+        next(iter_allocations_scaled(inst, cap=7))
+    assert (err.value.needed, err.value.cap) == (8, 7)
+
+
+def test_iter_allocations_scaled_prune_skips_extensions():
+    inst = validate_instance([[F(1, 5)] * 5] * 3)  # every scaled entry is 1
+    asked = []
+
+    def two_at_agent_2(prefix_util, k):
+        asked.append(k)
+        assert sum(prefix_util) == k  # goods 1..k only
+        return prefix_util[1] >= 2
+
+    kept = [tuple(o) for o, _ in iter_allocations_scaled(inst, prune=two_at_agent_2)]
+    # whole allocations (k = m) are never asked about
+    expected = [o for o in itertools.product((1, 2, 3), repeat=5) if o[:-1].count(2) < 2]
+    assert kept == expected
+    assert set(asked) == {1, 2, 3, 4}

@@ -74,8 +74,9 @@ class TestEnumerateRR:
 
     def test_branch_budget(self):
         inst = validate_instance([[F(1, 4)] * 4, [F(1, 4)] * 4])
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as err:
             enumerate_rr_allocations(inst, cap=10)
+        assert (err.value.needed, err.value.cap) == (11, 10)
 
 
 class TestBalancedFromMew:

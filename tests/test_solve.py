@@ -95,6 +95,15 @@ class TestMaxWelfare:
             pruned = max_welfare(inst, Objective.EGALITARIAN, pruned=True)
             assert (plain.value, plain.witness) == (pruned.value, pruned.witness)
 
+    def test_pruned_explored_counts(self):
+        # leaves reached, pinned so a change to the pruning order shows
+        rng = random.Random(5)
+        explored = [
+            max_welfare(random_instance(rng, 2, 12), Objective.EGALITARIAN, pruned=True).explored
+            for _ in range(3)
+        ]
+        assert explored == [36, 30, 218]
+
     def test_pruned_rejected_elsewhere(self):
         inst = gen_thm5(F(3, 2), F(2, 5))
         with pytest.raises(ValueError):
