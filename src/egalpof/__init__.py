@@ -25,7 +25,6 @@ from .errors import (
 )
 from .model import (
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_RR_BRANCH_CAP,
     INFINITY,
     Allocation,
     ExtendedValue,

@@ -4,7 +4,7 @@ Subcommands: solve, pof, generate, verify, reproduce. Results go to stdout
 as exact rational strings ("inf" for infinity); identical arguments, files
 and seeds produce byte-identical output. Exit codes: 0 success, 1 violated
 verification, 2 usage or input error. The environment variable EGALPOF_CAP
-overrides the default enumeration cap when --cap is not given.
+overrides the default search cap when --cap is not given.
 """
 
 from __future__ import annotations
@@ -149,7 +149,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.n, args.m_max, args.trials, args.seed)
+    report = run_suite(
+        args.suite, args.n, args.m_max, args.trials, args.seed, cap=_resolve_cap(args)
+    )
     sys.stdout.write(report.to_text())
     return 0 if report.passed else 1
 

@@ -28,7 +28,6 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
-DEFAULT_RR_BRANCH_CAP = 1_000_000
 
 
 def as_rational(value) -> Fraction:

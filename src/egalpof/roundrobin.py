@@ -10,7 +10,7 @@ from typing import Mapping
 
 from .errors import BudgetExceeded, EmptyBundle, PreconditionViolated
 from .model import (
-    DEFAULT_RR_BRANCH_CAP,
+    DEFAULT_ENUMERATION_CAP,
     Allocation,
     Instance,
     _check_pair,
@@ -106,47 +106,45 @@ def run_round_robin(inst: Instance, sched: RRSchedule) -> RRTrace:
 
 
 def enumerate_rr_allocations(
-    inst: Instance, cap: int = DEFAULT_RR_BRANCH_CAP
+    inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Allocation]:
     """Every allocation some (ordering, tiebreak) pair can produce.
 
-    Branches over all n! orderings and, at each pick, over every remaining
-    good tied for the picker's maximum utility. Returns the deduplicated
-    outcomes in lexicographic owner order.
+    For each of the n! orderings, builds the distinct partial allocations
+    one pick at a time: each extends by every remaining good tied for the
+    picker's maximum utility. `cap` bounds the number of these partial
+    allocations, summed over the orderings; BudgetExceeded fires at the
+    first one over it. Returns the outcomes in lexicographic owner order.
     """
     _, rows = scaled_rows(inst)
     n, m = inst.n, inst.m
     outcomes: set[tuple[int, ...]] = set()
-    leaves = 0
-    # owner[j] holds good j+1's picker on the current path; slot m absorbs
-    # the root's empty pick. A sibling subtree only reassigns goods still
-    # remaining at the shared parent, so the path's earlier picks stay put.
-    owner = [0] * (m + 1)
+    states = 0
     for ordering in itertools.permutations(inst.agents()):
-        # entries (picks made, 0-based goods remaining, last good, its picker)
-        stack = [(0, list(range(m)), m, 0)]
-        while stack:
-            k, remaining, good, picker = stack.pop()
-            owner[good] = picker
-            if not remaining:
-                leaves += 1
-                if leaves > cap:
-                    raise BudgetExceeded(leaves, cap)
-                outcomes.add(tuple(owner[:m]))
-                continue
+        # partial owner vector (0 = still free) -> its free 0-based goods
+        layer = {(0,) * m: tuple(range(m))}
+        for k in range(m):
             agent = ordering[k % n]
             row = rows[agent - 1]
-            top = max(map(row.__getitem__, remaining))
-            for i in range(len(remaining) - 1, -1, -1):  # lowest tied good pops first
-                g = remaining[i]
-                if row[g] == top:
-                    stack.append((k + 1, remaining[:i] + remaining[i + 1 :], g, agent))
+            after: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for owner, free in layer.items():
+                top = max(map(row.__getitem__, free))
+                for i, g in enumerate(free):
+                    if row[g] == top:
+                        child = owner[:g] + (agent,) + owner[g + 1 :]
+                        if child not in after:
+                            states += 1
+                            if states > cap:
+                                raise BudgetExceeded(cap + 1, cap)
+                            after[child] = free[:i] + free[i + 1 :]
+            layer = after
+        outcomes.update(layer)
     return [Allocation(n, o) for o in sorted(outcomes)]
 
 
-def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_RR_BRANCH_CAP) -> bool:
+def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     _check_pair(inst, alloc)
-    return any(alloc.owner == a.owner for a in enumerate_rr_allocations(inst, cap))
+    return alloc in enumerate_rr_allocations(inst, cap)
 
 
 def _top_goods(inst: Instance, agent: int, goods: tuple[int, ...], count: int) -> list[int]:

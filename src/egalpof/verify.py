@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import ParamOutOfRange
 from .model import (
     DEFAULT_ENUMERATION_CAP,
-    DEFAULT_RR_BRANCH_CAP,
     Allocation,
     ExtendedValue,
     Instance,
@@ -142,7 +142,7 @@ def _random_allocation(rng: random.Random, n: int, m: int) -> Allocation:
     return Allocation(n, tuple(rng.randint(1, n) for _ in range(m)))
 
 
-def _run_bounds(inst: Instance, checks: dict[str, _Check], cap: int, rr_cap: int) -> None:
+def _run_bounds(inst: Instance, checks: dict[str, _Check], cap: int) -> None:
     mew = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.NONE, cap).value
     restricted: dict[PropertyFilter, Fraction] = {}
     for prop in (
@@ -152,7 +152,7 @@ def _run_bounds(inst: Instance, checks: dict[str, _Check], cap: int, rr_cap: int
         PropertyFilter.MAX_UTILITARIAN,
         PropertyFilter.MAX_NASH,
     ):
-        value = max_welfare(inst, Objective.EGALITARIAN, prop, cap, rr_cap).value
+        value = max_welfare(inst, Objective.EGALITARIAN, prop, cap).value
         restricted[prop] = value
         checks[f"mew_ge[{prop.value}]"].record(
             mew >= value, extended_ratio(value, mew)
@@ -172,9 +172,9 @@ def _run_bounds(inst: Instance, checks: dict[str, _Check], cap: int, rr_cap: int
 
 
 def _run_facts(
-    inst: Instance, rng: random.Random, checks: dict[str, _Check], cap: int, rr_cap: int
+    inst: Instance, rng: random.Random, checks: dict[str, _Check], cap: int
 ) -> None:
-    for alloc in enumerate_rr_allocations(inst, rr_cap):
+    for alloc in enumerate_rr_allocations(inst, cap):
         checks["rr_outputs_ef1_balanced"].record(
             is_ef1(inst, alloc) and is_balanced(alloc)
         )
@@ -192,7 +192,7 @@ def _run_facts(
 
 
 def _run_lemmas(
-    inst: Instance, rng: random.Random, checks: dict[str, _Check], cap: int, rr_cap: int
+    inst: Instance, rng: random.Random, checks: dict[str, _Check], cap: int
 ) -> None:
     for alloc in pareto_optimal_allocations(inst, cap):
         checks["po_envy_acyclic"].record(envy_graph(inst, alloc).is_acyclic())
@@ -261,11 +261,14 @@ def run_suite(
     trials: int,
     seed: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    rr_cap: int = DEFAULT_RR_BRANCH_CAP,
     denom_bound: int = 20,
 ) -> VerifyReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
+    if m_max < 1 or trials < 1:
+        raise ParamOutOfRange(
+            f"need m_max >= 1 and trials >= 1, got m_max={m_max}, trials={trials}"
+        )
     # The corpus stream only ever draws instances, so every suite sees the
     # same instances for the same (n, m_max, trials, seed); per-trial
     # sampling inside checks uses its own derived stream.
@@ -281,11 +284,11 @@ def run_suite(
         inst = random_instance(corpus_rng, n, m, denom_bound)
         aux_rng = random.Random(seed * 1_000_003 + trial)
         if suite == "bounds":
-            _run_bounds(inst, checks, cap, rr_cap)
+            _run_bounds(inst, checks, cap)
         elif suite == "facts":
-            _run_facts(inst, aux_rng, checks, cap, rr_cap)
+            _run_facts(inst, aux_rng, checks, cap)
         else:
-            _run_lemmas(inst, aux_rng, checks, cap, rr_cap)
+            _run_lemmas(inst, aux_rng, checks, cap)
     report = VerifyReport(suite=suite, n=n, m_max=m_max, trials=trials, seed=seed)
     report.checks = [checks[name].done() for name in names]
     return report

@@ -67,6 +67,18 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_cap_reaches_round_robin(self, tmp_path, capsys):
+        # 2 x 4 all-tied goods: 16 allocations fit the cap, but the
+        # round-robin search needs more than 10 distinct partial allocations
+        path = tmp_path / "ties.json"
+        path.write_text(json.dumps({"n": 2, "m": 4, "utilities": [["1/4"] * 4] * 2}))
+        argv = ["--instance", str(path), "--objective", "ew", "--property", "rr"]
+        assert main(["solve", *argv, "--cap", "10"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert main(["solve", *argv, "--cap", "100"]) == 0
+
 
 class TestGenerate:
     def test_thm1_with_pad(self, tmp_path, capsys):
@@ -115,7 +127,7 @@ class TestVerifyCommand:
         import egalpof.cli as cli
         from egalpof.verify import CheckRecord, VerifyReport
 
-        def fake_suite(suite, n, m_max, trials, seed):
+        def fake_suite(suite, n, m_max, trials, seed, cap):
             report = VerifyReport(suite=suite, n=n, m_max=m_max, trials=trials, seed=seed)
             report.checks = [CheckRecord("stub", 1, 1, None)]
             return report
@@ -124,6 +136,22 @@ class TestVerifyCommand:
         assert main(["verify", "--suite", "bounds", "--n", "2", "--m-max", "4",
                      "--trials", "1", "--seed", "1"]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m_max, trials", [("0", "1"), ("3", "-1")])
+    def test_out_of_range_params(self, m_max, trials, capsys):
+        argv = ["verify", "--suite", "bounds", "--n", "2", "--m-max", m_max,
+                "--trials", trials, "--seed", "1"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    def test_env_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("EGALPOF_CAP", "1")
+        argv = ["verify", "--suite", "bounds", "--n", "2", "--m-max", "4",
+                "--trials", "1", "--seed", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestReproduce:

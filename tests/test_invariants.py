@@ -1,5 +1,6 @@
 """Property-based checks of the exact-arithmetic invariants."""
 
+import itertools
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from _strategies import instances, instances_with_allocation
 from egalpof import (
     Objective,
     PropertyFilter,
+    RRSchedule,
     balanced_from_mew,
     bundle_utility,
     agent_utilities,
@@ -97,6 +99,35 @@ def test_rr_outputs_are_ef1_and_balanced(inst):
     for alloc in enumerate_rr_allocations(inst):
         assert is_ef1(inst, alloc)
         assert is_balanced(alloc)
+
+
+def _refining_priorities(inst, agent):
+    """Every strict priority over the goods that refines the agent's utilities."""
+    row = inst.row(agent)
+    classes = [
+        [g for g in inst.goods() if row[g - 1] == value]
+        for value in sorted(set(row), reverse=True)
+    ]
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        yield tuple(g for part in parts for g in part)
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances(max_m=4, max_value=2))
+def test_rr_search_matches_every_schedule(inst):
+    # tie-heavy instances; the oracle runs round-robin once per ordering and
+    # per profile of utility-refining priorities
+    profiles = list(
+        itertools.product(*(list(_refining_priorities(inst, i)) for i in inst.agents()))
+    )
+    expected = sorted(
+        {
+            run_round_robin(inst, RRSchedule(ordering, priority)).allocation.owner
+            for ordering in itertools.permutations(inst.agents())
+            for priority in profiles
+        }
+    )
+    assert [a.owner for a in enumerate_rr_allocations(inst)] == expected
 
 
 @given(instances(max_m=4), st.data())
