@@ -118,7 +118,7 @@ def test_rr_search_matches_every_schedule(inst):
     # tie-heavy instances; the oracle runs round-robin once per ordering and
     # per profile of utility-refining priorities
     profiles = list(
-        itertools.product(*(list(_refining_priorities(inst, i)) for i in inst.agents()))
+        itertools.product(*(_refining_priorities(inst, i) for i in inst.agents()))
     )
     expected = sorted(
         {
