@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from math import lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -204,6 +204,7 @@ def nash_welfare(inst: Instance, alloc: Allocation) -> Fraction:
     return prod(agent_utilities(inst, alloc), start=ONE)
 
 
+@total_ordering
 @dataclass(frozen=True)
 class ExtendedValue:
     """A finite exact value or positive infinity.
@@ -256,24 +257,6 @@ class ExtendedValue:
         if coerced.is_infinite:
             return True
         return self.value < coerced.value
-
-    def __le__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return self == coerced or self < coerced
-
-    def __gt__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced < self
-
-    def __ge__(self, other) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced <= self
 
     def __str__(self) -> str:
         return "inf" if self.value is None else str(self.value)

@@ -4,6 +4,7 @@ Pareto-optimality and the envy graph with its cycle rotation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import ge, gt
 from typing import Iterator, Sequence
 
 from .errors import NotACycle
@@ -139,13 +140,23 @@ def envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     return EnvyGraph(inst.n, edges)
 
 
+def weakly_dominates(x: Sequence, y: Sequence) -> bool:
+    """Is every entry of utility vector x at least the matching entry of y?"""
+    return all(map(ge, x, y))
+
+
+def strictly_dominates(x: Sequence, y: Sequence) -> bool:
+    """Does x weakly dominate y and beat it in at least one entry?"""
+    return weakly_dominates(x, y) and any(map(gt, x, y))
+
+
 def dominates(inst: Instance, b: Allocation, a: Allocation) -> DominationVerdict:
     """Does b weakly/strongly dominate a?"""
     ub = agent_utilities(inst, b)
     ua = agent_utilities(inst, a)
-    weak = all(x >= y for x, y in zip(ub, ua))
-    strong = weak and any(x > y for x, y in zip(ub, ua))
-    return DominationVerdict(weak=weak, strong=strong)
+    return DominationVerdict(
+        weak=weakly_dominates(ub, ua), strong=strictly_dominates(ub, ua)
+    )
 
 
 def is_pareto_optimal(
@@ -155,12 +166,10 @@ def is_pareto_optimal(
     _check_pair(inst, alloc)
     _, rows = scaled_rows(inst)
     base = scaled_utilities(rows, inst.n, alloc.owner)
-    for _, util in iter_allocations_scaled(inst, cap):
-        if all(u >= v for u, v in zip(util, base)) and any(
-            u > v for u, v in zip(util, base)
-        ):
-            return False
-    return True
+    return not any(
+        strictly_dominates(util, base)
+        for _, util in iter_allocations_scaled(inst, cap)
+    )
 
 
 def pareto_optimal_allocations(
@@ -176,12 +185,7 @@ def pareto_optimal_allocations(
     distinct = {tuple(util) for _, util in iter_allocations_scaled(inst, cap)}
     front: list[tuple[int, ...]] = []
     for vec in sorted(distinct, key=lambda v: (-sum(v), v)):
-        dominated = False
-        for w in front:
-            if all(x >= y for x, y in zip(w, vec)):
-                dominated = True
-                break
-        if not dominated:
+        if not any(weakly_dominates(w, vec) for w in front):
             front.append(vec)
     front_set = set(front)
     for owner, util in iter_allocations_scaled(inst, cap):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from .construct import gen_thm1, gen_thm4, gen_thm5, gen_thm7
 from .errors import CrossCheckError
@@ -34,29 +35,32 @@ def _check(condition: bool, message: str) -> None:
         raise CrossCheckError(message)
 
 
-def _row(inst: Instance, family: str, params: str, prop: PropertyFilter) -> ReportRow:
+def _rows(
+    inst: Instance, family: str, params: str, *props: PropertyFilter
+) -> Iterator[ReportRow]:
+    """One row per property; the unrestricted optimum is solved once."""
     mew = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.NONE).value
-    mew_p = max_welfare(inst, Objective.EGALITARIAN, prop).value
-    return ReportRow(
-        family=family,
-        n=inst.n,
-        m=inst.m,
-        params=params,
-        prop=prop.value,
-        mew=mew,
-        mew_p=mew_p,
-        pof=extended_ratio(mew, mew_p),
-    )
+    for prop in props:
+        mew_p = max_welfare(inst, Objective.EGALITARIAN, prop).value
+        yield ReportRow(
+            family=family,
+            n=inst.n,
+            m=inst.m,
+            params=params,
+            prop=prop.value,
+            mew=mew,
+            mew_p=mew_p,
+            pof=extended_ratio(mew, mew_p),
+        )
 
 
 def build_report() -> list[ReportRow]:
     rows: list[ReportRow] = []
 
     eps = Fraction(1, 100)
+    props = (PropertyFilter.EF1, PropertyFilter.BALANCED, PropertyFilter.ROUND_ROBIN)
     for m in range(3, 9):
-        inst = gen_thm1(3, m, eps)
-        for prop in (PropertyFilter.EF1, PropertyFilter.BALANCED, PropertyFilter.ROUND_ROBIN):
-            row = _row(inst, "thm1", f"eps={eps}", prop)
+        for prop, row in zip(props, _rows(gen_thm1(3, m, eps), "thm1", f"eps={eps}", *props)):
             _check(row.mew == (m - 2) * eps**2, f"thm1 m={m}: unexpected mew {row.mew}")
             if prop is PropertyFilter.EF1:
                 expected = -(-(m - 1) // 2) * eps**2
@@ -70,17 +74,17 @@ def build_report() -> list[ReportRow]:
             rows.append(row)
 
     for eps in (Fraction(1, 100), Fraction(1, 1000)):
-        row = _row(gen_thm4(eps), "thm4", f"eps={eps}", PropertyFilter.MAX_UTILITARIAN)
+        [row] = _rows(gen_thm4(eps), "thm4", f"eps={eps}", PropertyFilter.MAX_UTILITARIAN)
         _check(row.pof == Fraction(1, 4) / eps, f"thm4 eps={eps}: unexpected pof {row.pof}")
         rows.append(row)
 
     x, y = Fraction(3, 2), Fraction(2, 5)
-    row = _row(gen_thm5(x, y), "thm5", f"x={x};y={y}", PropertyFilter.MAX_NASH)
+    [row] = _rows(gen_thm5(x, y), "thm5", f"x={x};y={y}", PropertyFilter.MAX_NASH)
     _check(row.pof == x, f"thm5: unexpected pof {row.pof}")
     rows.append(row)
 
     for eps in (Fraction(1, 10), Fraction(1, 20)):
-        row = _row(gen_thm7(eps), "thm7", f"eps={eps}", PropertyFilter.MAX_NASH)
+        [row] = _rows(gen_thm7(eps), "thm7", f"eps={eps}", PropertyFilter.MAX_NASH)
         _check(row.pof == 1 / eps, f"thm7 eps={eps}: unexpected pof {row.pof}")
         rows.append(row)
 

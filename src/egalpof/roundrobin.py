@@ -17,7 +17,7 @@ from .model import (
     scaled_rows,
     scaled_utilities,
 )
-from .properties import envy_graph
+from .properties import envy_graph, strictly_dominates, weakly_dominates
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,9 @@ def enumerate_rr_allocations(
 ) -> list[Allocation]:
     """Every allocation some (ordering, tiebreak) pair can produce.
 
-    For each of the n! orderings, builds the distinct partial allocations
-    one pick at a time: each extends by every remaining good tied for the
+    Only the first min(n, m) pickers of an ordering ever pick, so for each
+    ordering of those pickers, builds the distinct partial allocations one
+    pick at a time: each extends by every remaining good tied for the
     picker's maximum utility. `cap` bounds the number of these partial
     allocations, summed over the orderings; BudgetExceeded fires at the
     first one over it. Returns the outcomes in lexicographic owner order.
@@ -120,7 +121,7 @@ def enumerate_rr_allocations(
     n, m = inst.n, inst.m
     outcomes: set[tuple[int, ...]] = set()
     states = 0
-    for ordering in itertools.permutations(inst.agents()):
+    for ordering in itertools.permutations(inst.agents(), min(n, m)):
         # partial owner vector (0 = still free) -> its free 0-based goods
         layer = {(0,) * m: tuple(range(m))}
         for k in range(m):
@@ -147,10 +148,12 @@ def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP)
     return alloc in enumerate_rr_allocations(inst, cap)
 
 
-def _top_goods(inst: Instance, agent: int, goods: tuple[int, ...], count: int) -> list[int]:
-    row = inst.u[agent - 1]
-    ranked = sorted(goods, key=lambda g: (-row[g - 1], g))
-    return ranked[:count]
+def _ranked_bundles(inst: Instance, alloc: Allocation) -> list[tuple[int, ...]]:
+    """Each agent's bundle, most valuable good first, in her priority order."""
+    return [
+        tuple(g for g in priority_order(inst, i) if alloc.owner[g - 1] == i)
+        for i in inst.agents()
+    ]
 
 
 def balanced_from_mew(inst: Instance, alloc: Allocation) -> Allocation:
@@ -164,21 +167,15 @@ def balanced_from_mew(inst: Instance, alloc: Allocation) -> Allocation:
     n, m = inst.n, inst.m
     q = -(-m // n)  # exact ceiling, no float division
     r = m % n or n
-    bundles = alloc.bundles()
-    sizes = [len(b) for b in bundles]
+    ranked = _ranked_bundles(inst, alloc)
+    sizes = [len(b) for b in ranked]
 
-    keep: list[list[int]] = [[] for _ in range(n)]
     candidates = sorted(
         (i for i in range(n) if sizes[i] >= q), key=lambda i: (-sizes[i], i)
     )
     keeps_q = set(candidates[:r])
-    for i in range(n):
-        if sizes[i] < q:
-            keep[i] = list(bundles[i])
-        elif i in keeps_q:
-            keep[i] = _top_goods(inst, i + 1, bundles[i], q)
-        else:
-            keep[i] = _top_goods(inst, i + 1, bundles[i], q - 1)
+    # a bundle below quota has at most q - 1 goods, so it is kept whole
+    keep = [list(ranked[i][: q if i in keeps_q else q - 1]) for i in range(n)]
 
     target = [q - 1] * n
     slots = r
@@ -231,7 +228,7 @@ def dominating_rr_one_good(
     # allocations, already in lexicographic order
     for p in itertools.permutations(inst.agents()):
         util = scaled_utilities(rows, inst.n, p)
-        if all(x >= y for x, y in zip(util, base)):
+        if weakly_dominates(util, base):
             dominating.append((p, util))
 
     current, cur_util = alloc.owner, base
@@ -239,9 +236,7 @@ def dominating_rr_one_good(
     while improved:
         improved = False
         for cand, util in dominating:
-            if all(x >= y for x, y in zip(util, cur_util)) and any(
-                x > y for x, y in zip(util, cur_util)
-            ):
+            if strictly_dominates(util, cur_util):
                 current, cur_util = cand, util
                 improved = True
                 break
@@ -264,15 +259,11 @@ def rr_from_mew(inst: Instance, alloc: Allocation) -> tuple[Allocation, RRSchedu
     boosted good for the full run.
     """
     _check_pair(inst, alloc)
-    bundles = alloc.bundles()
-    for i, b in enumerate(bundles, start=1):
+    ranked = _ranked_bundles(inst, alloc)
+    for i, b in enumerate(ranked, start=1):
         if not b:
             raise EmptyBundle(i)
-
-    best_good = []
-    for i, b in enumerate(bundles, start=1):
-        row = inst.u[i - 1]
-        best_good.append(min(b, key=lambda g: (-row[g - 1], g)))
+    best_good = [b[0] for b in ranked]
 
     reduced_goods = sorted(best_good)
     reduced_u = tuple(

@@ -22,12 +22,15 @@ _RATIONAL_RE = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z")
 def parse_rational(text: str) -> Fraction:
     if not isinstance(text, str) or not _RATIONAL_RE.match(text):
         raise ParseError(f"invalid rational {text!r}")
-    if "/" in text:
-        numerator, denominator = text.split("/")
-        if int(denominator) == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        return Fraction(int(numerator), int(denominator))
-    return Fraction(int(text))
+    numerator, _, denominator = text.partition("/")
+    try:
+        # int() refuses strings past the interpreter's digit limit
+        p, q = int(numerator), int(denominator or "1")
+    except ValueError as exc:
+        raise ParseError(f"rational of {len(text)} characters: {exc}") from exc
+    if q == 0:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(p, q)
 
 
 def format_rational(value: Fraction) -> str:
@@ -40,6 +43,9 @@ def parse_instance_file(text: str) -> Instance:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # integers past the digit limit, nesting past the recursion limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError("top level must be an object")
     for key in ("n", "m", "utilities"):
@@ -76,7 +82,11 @@ def write_instance_file(inst: Instance) -> str:
 
 
 def load_instance(path: str | Path) -> Instance:
-    return parse_instance_file(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: byte {exc.start} {exc.reason}") from exc
+    return parse_instance_file(text)
 
 
 def save_instance(inst: Instance, path: str | Path) -> None:

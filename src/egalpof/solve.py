@@ -42,11 +42,7 @@ class PropertyFilter(str, Enum):
 @dataclass(frozen=True)
 class SolveResult:
     """Exact optimum, its lexicographically smallest witness, and the number
-    of candidate allocations examined.
-
-    What `explored` counts depends on the path: n**m for every odometer scan
-    (the none, ef1, ba, muw and mnw filters); the leaves reached by the
-    pruned search; and the distinct round-robin outcomes for rr.
+    of candidates the solve loop examined (`explored`).
     """
 
     value: Fraction

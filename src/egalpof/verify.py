@@ -26,7 +26,13 @@ from .model import (
     normalize_instance,
     scaled_rows,
 )
-from .properties import envy_graph, is_balanced, is_ef1, pareto_optimal_allocations
+from .properties import (
+    envy_graph,
+    is_balanced,
+    is_ef1,
+    pareto_optimal_allocations,
+    weakly_dominates,
+)
 from .roundrobin import (
     balanced_from_mew,
     dominating_rr_one_good,
@@ -36,17 +42,23 @@ from .roundrobin import (
 )
 from .solve import Objective, PropertyFilter, max_welfare
 
-SUITES = ("bounds", "facts", "lemmas")
-
 _EF1_SAMPLE_CAP = 256
 
 
 @dataclass
 class CheckRecord:
     name: str
-    tried: int
-    violations: int
-    worst: ExtendedValue | None
+    tried: int = 0
+    violations: int = 0
+    worst: ExtendedValue | None = None
+
+    def record(self, ok: bool, ratio: ExtendedValue | None = None) -> None:
+        """Count one trial of the check; keep the largest ratio seen."""
+        self.tried += 1
+        if not ok:
+            self.violations += 1
+        if ratio is not None and (self.worst is None or ratio > self.worst):
+            self.worst = ratio
 
     def to_line(self) -> str:
         worst = "-" if self.worst is None else str(self.worst)
@@ -79,29 +91,15 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-class _Check:
-    def __init__(self, name: str):
-        self.name = name
-        self.tried = 0
-        self.violations = 0
-        self.worst: ExtendedValue | None = None
-
-    def record(self, ok: bool, ratio: ExtendedValue | None = None) -> None:
-        self.tried += 1
-        if not ok:
-            self.violations += 1
-        if ratio is not None and (self.worst is None or ratio > self.worst):
-            self.worst = ratio
-
-    def done(self) -> CheckRecord:
-        return CheckRecord(self.name, self.tried, self.violations, self.worst)
-
-
 def random_instance(
     rng: random.Random, n: int, m: int, denom_bound: int = 20
 ) -> Instance:
     """Integer utilities in [0, denom_bound], all-zero rows resampled, then
     row-normalized. Small draws keep exact arithmetic fast."""
+    if m < 1 or denom_bound < 1:
+        raise ParamOutOfRange(
+            f"need m >= 1 and denom_bound >= 1, got m={m}, denom_bound={denom_bound}"
+        )
     rows = []
     for _ in range(n):
         while True:
@@ -142,7 +140,9 @@ def _random_allocation(rng: random.Random, n: int, m: int) -> Allocation:
     return Allocation(n, tuple(rng.randint(1, n) for _ in range(m)))
 
 
-def _run_bounds(inst: Instance, checks: dict[str, _Check], cap: int) -> None:
+def _run_bounds(
+    inst: Instance, rng: random.Random, checks: dict[str, CheckRecord], cap: int
+) -> None:
     mew = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.NONE, cap).value
     restricted: dict[PropertyFilter, Fraction] = {}
     for prop in (
@@ -172,7 +172,7 @@ def _run_bounds(inst: Instance, checks: dict[str, _Check], cap: int) -> None:
 
 
 def _run_facts(
-    inst: Instance, rng: random.Random, checks: dict[str, _Check], cap: int
+    inst: Instance, rng: random.Random, checks: dict[str, CheckRecord], cap: int
 ) -> None:
     for alloc in enumerate_rr_allocations(inst, cap):
         checks["rr_outputs_ef1_balanced"].record(
@@ -192,7 +192,7 @@ def _run_facts(
 
 
 def _run_lemmas(
-    inst: Instance, rng: random.Random, checks: dict[str, _Check], cap: int
+    inst: Instance, rng: random.Random, checks: dict[str, CheckRecord], cap: int
 ) -> None:
     for alloc in pareto_optimal_allocations(inst, cap):
         checks["po_envy_acyclic"].record(envy_graph(inst, alloc).is_acyclic())
@@ -201,9 +201,9 @@ def _run_lemmas(
         for owner in itertools.permutations(inst.agents()):
             start = Allocation(inst.n, owner)
             found, sched = dominating_rr_one_good(inst, start)
-            base = agent_utilities(inst, start)
-            high = agent_utilities(inst, found)
-            weak = all(x >= y for x, y in zip(high, base))
+            weak = weakly_dominates(
+                agent_utilities(inst, found), agent_utilities(inst, start)
+            )
             replay = run_round_robin(inst, sched).allocation == found
             checks["matching_dominator_replay"].record(weak and replay)
 
@@ -211,15 +211,9 @@ def _run_lemmas(
     for alloc in (witness, _random_allocation(rng, inst.n, inst.m)):
         rounded = balanced_from_mew(inst, alloc)
         before = agent_utilities(inst, alloc)
-        after = agent_utilities(inst, rounded)
-        ok = is_balanced(rounded) and all(
-            inst.n * b >= a for a, b in zip(before, after)
-        )
-        worst = None
-        for a, b in zip(before, after):
-            ratio = extended_ratio(a, inst.n * b)
-            if worst is None or ratio > worst:
-                worst = ratio
+        floor = [inst.n * b for b in agent_utilities(inst, rounded)]
+        ok = is_balanced(rounded) and weakly_dominates(floor, before)
+        worst = max(map(extended_ratio, before, floor))
         checks["balanced_rounding_per_agent"].record(ok, worst)
 
     if all(witness.bundle(i) for i in inst.agents()):
@@ -253,6 +247,10 @@ _SUITE_CHECKS = {
     ),
 }
 
+SUITES = tuple(_SUITE_CHECKS)
+
+_RUNNERS = {"bounds": _run_bounds, "facts": _run_facts, "lemmas": _run_lemmas}
+
 
 def run_suite(
     suite: str,
@@ -278,17 +276,12 @@ def run_suite(
         for name in _SUITE_CHECKS[suite]
         if not (name == "mnw_pof_le_2_n2" and n != 2)
     ]
-    checks = {name: _Check(name) for name in names}
+    checks = {name: CheckRecord(name) for name in names}
+    run = _RUNNERS[suite]
     for trial in range(trials):
         m = corpus_rng.randint(1, m_max)
         inst = random_instance(corpus_rng, n, m, denom_bound)
-        aux_rng = random.Random(seed * 1_000_003 + trial)
-        if suite == "bounds":
-            _run_bounds(inst, checks, cap)
-        elif suite == "facts":
-            _run_facts(inst, aux_rng, checks, cap)
-        else:
-            _run_lemmas(inst, aux_rng, checks, cap)
+        run(inst, random.Random(seed * 1_000_003 + trial), checks, cap)
     report = VerifyReport(suite=suite, n=n, m_max=m_max, trials=trials, seed=seed)
-    report.checks = [checks[name].done() for name in names]
+    report.checks = list(checks.values())
     return report

@@ -180,5 +180,23 @@ class TestErrorPaths:
         assert main(["solve", "--instance", str(path), "--objective", "ew"]) == 2
         assert "sum" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n": 2, "m": 1, "utilities": [["1"], ["\xff"]]}',
+            b"[" * 100_000,
+            b'{"n": 2, "m": 1, "utilities": [["1/' + b"1" * 5000 + b'"], ["1"]]}',
+            b'{"n": ' + b"1" * 5000 + b"}",
+        ],
+        ids=["not-utf8", "deep-nesting", "long-rational", "long-integer"],
+    )
+    def test_malformed_file_exits_two(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["solve", "--instance", str(path), "--objective", "ew"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
     def test_unknown_objective(self, thm4_file):
         assert main(["solve", "--instance", str(thm4_file), "--objective", "zz"]) == 2

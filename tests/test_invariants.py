@@ -183,6 +183,17 @@ def test_filter_set_containment(inst):
 
 @settings(max_examples=40, deadline=None)
 @given(instances(max_m=4))
+def test_explored_counts_examined_candidates(inst):
+    # the scans examine every owner vector; rr examines each distinct outcome
+    outcomes = len(enumerate_rr_allocations(inst))
+    for objective in Objective:
+        for prop in PropertyFilter:
+            expected = outcomes if prop is PropertyFilter.ROUND_ROBIN else inst.n**inst.m
+            assert max_welfare(inst, objective, prop).explored == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(instances(max_m=4))
 def test_pruned_solver_matches_exhaustive(inst):
     plain = max_welfare(inst, Objective.EGALITARIAN)
     pruned = max_welfare(inst, Objective.EGALITARIAN, pruned=True)

@@ -78,6 +78,13 @@ class TestEnumerateRR:
             enumerate_rr_allocations(inst, cap=10)
         assert (err.value.needed, err.value.cap) == (11, 10)
 
+    def test_fewer_goods_than_agents(self):
+        # only the first two pickers of an ordering ever pick, so the search
+        # covers their 56 orders, not all 8! orderings of the agents
+        inst = validate_instance([[F(1, 2)] * 2] * 8)
+        owners = [a.owner for a in enumerate_rr_allocations(inst, cap=1000)]
+        assert owners == [(a, b) for a in range(1, 9) for b in range(1, 9) if a != b]
+
 
 class TestBalancedFromMew:
     def test_thm1_rounding(self):

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from egalpof import Allocation, run_suite, random_instance, validate_instance
+from egalpof import (
+    Allocation,
+    ParamOutOfRange,
+    random_instance,
+    run_suite,
+    validate_instance,
+)
 from egalpof.verify import _ef1_existential
 from egalpof import is_ef1
 
@@ -18,6 +24,12 @@ class TestRandomInstance:
         inst = random_instance(random.Random(3), 3, 4, denom_bound=20)
         for row in inst.u:
             assert all(x.denominator <= 20 * inst.m for x in row)
+
+    @pytest.mark.parametrize("m, denom_bound", [(0, 20), (-1, 20), (3, 0)])
+    def test_out_of_range_params(self, m, denom_bound):
+        # no row of such a draw is ever nonzero, so resampling would not end
+        with pytest.raises(ParamOutOfRange):
+            random_instance(random.Random(3), 2, m, denom_bound)
 
 
 class TestSuites:
