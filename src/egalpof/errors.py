@@ -42,7 +42,7 @@ class GoodOutOfRange(EgalpofError):
 
 class BudgetExceeded(EgalpofError):
     def __init__(self, needed: int, cap: int):
-        super().__init__(f"search needs {needed} states, cap is {cap}")
+        super().__init__(f"search needs at least {needed} states, cap is {cap}")
         self.needed = needed
         self.cap = cap
 

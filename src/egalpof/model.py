@@ -305,18 +305,21 @@ def iter_allocations_scaled(
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield (owner, per-agent scaled utility) in lexicographic order.
 
-    Raises BudgetExceeded before yielding anything when n**m exceeds `cap`.
     The yielded lists are reused between iterations; copy before storing.
 
     After the first allocation, `prune(util, k)` is asked about every prefix
     owner[:k] with 0 < k < m that the enumeration enters, where util holds
     the scaled utilities of goods 1..k alone (valid only during the call).
     Returning True skips every allocation that extends that prefix.
+
+    The budget counts states as they are visited: each allocation yielded
+    and each prefix `prune` is asked about; BudgetExceeded(cap + 1, cap)
+    fires at the first state over `cap`. Without `prune` a scan has n**m
+    states, so BudgetExceeded(n**m, cap) fires before its first yield.
     """
     n, m = inst.n, inst.m
-    total = n**m
-    if total > cap:
-        raise BudgetExceeded(total, cap)
+    if prune is None and n**m > cap:
+        raise BudgetExceeded(n**m, cap)
     _, rows = scaled_rows(inst)
     owner = [1] * m
     util = [0] * n
@@ -328,7 +331,11 @@ def iter_allocations_scaled(
     tail = [0] * (m + 1)
     for j in range(m - 1, -1, -1):
         tail[j] = tail[j + 1] + row0[j]
+    states = 0
     while True:
+        states += 1
+        if states > cap:
+            raise BudgetExceeded(cap + 1, cap)
         yield owner, util
         j = m - 1
         while j >= 0:
@@ -344,6 +351,9 @@ def iter_allocations_scaled(
             if prune is None:
                 break
             for k in range(j + 1, m):
+                states += 1
+                if states > cap:
+                    raise BudgetExceeded(cap + 1, cap)
                 util[0] -= tail[k]
                 rejected = prune(util, k)
                 util[0] += tail[k]

@@ -1,7 +1,7 @@
 """Desk-scale report over the built-in families.
 
 Emits one row per (construction, property) pair at fixed exact parameters.
-Every row is recomputed by the brute-force solver and, where the family has
+Every row is recomputed by the exact solver and, where the family has
 a closed form, checked against it during emission; a mismatch raises
 CrossCheckError instead of producing a wrong report.
 """

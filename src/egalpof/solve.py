@@ -1,5 +1,5 @@
-"""Exhaustive (and optionally pruned) welfare optimization under property
-filters, and welfare-ratio computation with the 0/0 = 1 convention."""
+"""Exact welfare optimization under property filters by branch-and-bound,
+and welfare-ratio computation with the 0/0 = 1 convention."""
 
 from __future__ import annotations
 
@@ -41,9 +41,9 @@ class PropertyFilter(str, Enum):
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Exact optimum, its lexicographically smallest witness, and the number
-    of candidates the solve loop examined (`explored`).
-    """
+    """Exact optimum, its lexicographically smallest witness, and `explored`:
+    the candidates the solve loop received, which are the allocations the
+    branch-and-bound search reached or the distinct round-robin outcomes."""
 
     value: Fraction
     witness: Allocation
@@ -81,34 +81,29 @@ def max_welfare(
 ) -> SolveResult:
     """Exact optimum of `objective` over allocations satisfying `prop`.
 
-    One loop keeps the first strict improvement over a lexicographically
-    ordered stream of candidates, so the witness is the lex-first optimum.
-    EF1 and balancedness are checked only on improvements. The
-    welfare-maximizer filters compare (filter welfare, objective) pairs
-    lexicographically in the same pass. `cap` bounds every path, the
-    round-robin search included. `pruned` enables branch-and-bound for the
-    plain egalitarian objective; results are identical to the exhaustive
-    scan.
+    One loop keeps the first strict improvement of a key over a
+    lexicographically ordered stream of candidates, so the witness is the
+    lex-first optimum. The key is the objective, or the (filter welfare,
+    objective) pair for the welfare-maximizer filters. Except for
+    round-robin outcomes, the stream is a branch-and-bound search that
+    skips a prefix once every agent taking all remaining goods still gives
+    a key at or below the incumbent's; every key is non-decreasing in each
+    agent's utility, so nothing skipped could improve. EF1 and balancedness
+    are checked only on improvements. `cap` bounds every search as it runs.
+    `pruned` is accepted and ignored: every solve is pruned.
     """
     objective = Objective(objective)
     prop = PropertyFilter(prop)
-    if pruned and (objective, prop) != (Objective.EGALITARIAN, PropertyFilter.NONE):
-        raise ValueError("pruning only applies to the unfiltered egalitarian solve")
-
     n, m = inst.n, inst.m
     scale, rows = scaled_rows(inst)
     value = _scaled_objective(objective)
     key: Callable[[list[int]], object] = value
     accept: Callable[[tuple[int, ...]], bool] | None = None
-    skipped = 0  # leaves below prefixes the pruned search rejected
     best = None
     if prop is PropertyFilter.ROUND_ROBIN:
         outcomes = enumerate_rr_allocations(inst, cap)  # lexicographic
         candidates = ((a.owner, scaled_utilities(rows, n, a.owner)) for a in outcomes)
-        explored = len(outcomes)
     else:
-        explored = n**m
-        prune = None
         if prop in (PropertyFilter.MAX_UTILITARIAN, PropertyFilter.MAX_NASH):
             welfare = sum if prop is PropertyFilter.MAX_UTILITARIAN else prod
             key = lambda util: (welfare(util), value(util))
@@ -116,21 +111,16 @@ def max_welfare(
             accept = lambda owner: is_ef1(inst, Allocation(n, owner))
         elif prop is PropertyFilter.BALANCED:
             accept = lambda owner: is_balanced(Allocation(n, owner))
-        elif pruned:
-            # rest[k][i]: the most agent i+1 can still gain from goods k+1..m
-            rest = [tuple(sum(row[k:]) for row in rows) for k in range(m + 1)]
+        # rest[k][i]: the most agent i+1 can still gain from goods k+1..m
+        rest = [tuple(sum(row[k:]) for row in rows) for k in range(m + 1)]
 
-            def prune(prefix: list[int], k: int) -> bool:
-                nonlocal skipped
-                if best is not None and min(map(add, prefix, rest[k])) <= best:
-                    skipped += n ** (m - k)
-                    return True
-                return False
+        def bound(prefix: list[int], k: int) -> bool:
+            return best is not None and key(list(map(add, prefix, rest[k]))) <= best
 
-        candidates = iter_allocations_scaled(inst, cap, prune)
+        candidates = iter_allocations_scaled(inst, cap, bound)
 
     witness: tuple[int, ...] | None = None
-    for owner, util in candidates:
+    for explored, (owner, util) in enumerate(candidates, 1):
         score = key(util)
         if (best is None or score > best) and (accept is None or accept(tuple(owner))):
             best = score
@@ -140,7 +130,7 @@ def max_welfare(
     return SolveResult(
         value=_true_value(objective, value(best_util), scale, n),
         witness=Allocation(n, witness),
-        explored=explored - skipped,
+        explored=explored,
     )
 
 

@@ -215,3 +215,17 @@ def test_iter_allocations_scaled_prune_skips_extensions():
     expected = [o for o in itertools.product((1, 2, 3), repeat=5) if o[:-1].count(2) < 2]
     assert kept == expected
     assert set(asked) == {1, 2, 3, 4}
+
+
+def test_iter_allocations_scaled_counts_states_as_it_runs():
+    inst = gen_thm5(F(3, 2), F(2, 5))  # n=2, m=3
+    keep_all = lambda prefix_util, k: False
+    # 8 allocations plus the 4 prefixes entered after the first: (1,2),
+    # (2,), (2,1) and (2,2)
+    assert len(list(iter_allocations_scaled(inst, cap=12, prune=keep_all))) == 8
+    seen = []
+    with pytest.raises(BudgetExceeded) as err:
+        for owner, _ in iter_allocations_scaled(inst, cap=11, prune=keep_all):
+            seen.append(tuple(owner))
+    assert (err.value.needed, err.value.cap) == (12, 11)
+    assert len(seen) == 7  # refused at the twelfth state, the last allocation

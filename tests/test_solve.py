@@ -20,6 +20,8 @@ from egalpof import (
 )
 from egalpof.verify import random_instance
 
+from _oracle import assert_solver_matches_oracle
+
 
 class TestEnumerateAllocations:
     def test_lexicographic_order(self):
@@ -91,9 +93,7 @@ class TestMaxWelfare:
         rng = random.Random(9)
         for _ in range(30):
             inst = random_instance(rng, rng.randint(2, 3), rng.randint(1, 5))
-            plain = max_welfare(inst, Objective.EGALITARIAN)
-            pruned = max_welfare(inst, Objective.EGALITARIAN, pruned=True)
-            assert (plain.value, plain.witness) == (pruned.value, pruned.witness)
+            assert_solver_matches_oracle(inst)
 
     def test_pruned_explored_counts(self):
         # leaves reached, pinned so a change to the pruning order shows
@@ -104,19 +104,28 @@ class TestMaxWelfare:
         ]
         assert explored == [36, 30, 218]
 
-    def test_pruned_rejected_elsewhere(self):
-        inst = gen_thm5(F(3, 2), F(2, 5))
-        with pytest.raises(ValueError):
-            max_welfare(inst, Objective.NASH, pruned=True)
-        with pytest.raises(ValueError):
-            max_welfare(
-                inst, Objective.EGALITARIAN, PropertyFilter.BALANCED, pruned=True
-            )
-
     def test_budget(self):
         inst = validate_instance([[F(1, 30)] * 30, [F(1, 30)] * 30])
         with pytest.raises(BudgetExceeded):
             max_welfare(inst, Objective.EGALITARIAN, cap=10**6)
+
+    def test_running_budget(self):
+        # 2**30 allocations, but the pruned search is refused only when its
+        # count of states passes the cap, not by an up-front n**m check
+        inst = validate_instance([[F(1, 30)] * 30, [F(1, 30)] * 30])
+        with pytest.raises(BudgetExceeded) as err:
+            max_welfare(inst, Objective.EGALITARIAN, cap=10**4)
+        assert (err.value.needed, err.value.cap) == (10**4 + 1, 10**4)
+
+    @pytest.mark.parametrize(
+        "prop, pof", [(PropertyFilter.EF1, F(5, 3)), (PropertyFilter.BALANCED, F(5, 2))]
+    )
+    def test_reach_past_allocation_count(self, prop, pof):
+        # 3**12 = 531,441 allocations are over the cap; the pruned search is not
+        inst = gen_thm1(3, 12, F(1, 1000))
+        mew = max_welfare(inst, Objective.EGALITARIAN, cap=200_000)
+        mew_p = max_welfare(inst, Objective.EGALITARIAN, prop, cap=200_000)
+        assert extended_ratio(mew.value, mew_p.value) == pof
 
 
 class TestPriceOfFairness:
