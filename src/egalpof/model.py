@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from math import lcm, prod
+from math import inf, lcm, prod
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -312,29 +312,26 @@ def iter_allocations_scaled(
     the scaled utilities of goods 1..k alone (valid only during the call).
     Returning True skips every allocation that extends that prefix.
 
-    The budget counts states as they are visited: each allocation yielded
-    and each prefix `prune` is asked about; BudgetExceeded(cap + 1, cap)
-    fires at the first state over `cap`. Without `prune` a scan has n**m
-    states, so BudgetExceeded(n**m, cap) fires before its first yield.
+    A search with n**m <= cap is never refused. A larger one raises
+    BudgetExceeded(n**m, cap) up front without `prune`; with it, states
+    (allocations yielded, prefixes asked about) are counted as they are
+    visited and BudgetExceeded(cap + 1, cap) fires at the first over `cap`.
     """
     n, m = inst.n, inst.m
     if prune is None and n**m > cap:
         raise BudgetExceeded(n**m, cap)
+    limit = cap if n**m > cap else inf
     _, rows = scaled_rows(inst)
     owner = [1] * m
-    util = [0] * n
     row0 = rows[0]
-    for j in range(m):
-        util[0] += row0[j]
+    util = [sum(row0)] + [0] * (n - 1)
     # tail[k]: agent 1's value for goods k+1..m. A carry resets every later
     # good to agent 1, so util less tail[k] on agent 1 is the prefix's util.
-    tail = [0] * (m + 1)
-    for j in range(m - 1, -1, -1):
-        tail[j] = tail[j + 1] + row0[j]
+    tail = [sum(row0[k:]) for k in range(m + 1)]
     states = 0
     while True:
         states += 1
-        if states > cap:
+        if states > limit:
             raise BudgetExceeded(cap + 1, cap)
         yield owner, util
         j = m - 1
@@ -352,7 +349,7 @@ def iter_allocations_scaled(
                 break
             for k in range(j + 1, m):
                 states += 1
-                if states > cap:
+                if states > limit:
                     raise BudgetExceeded(cap + 1, cap)
                 util[0] -= tail[k]
                 rejected = prune(util, k)

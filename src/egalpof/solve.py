@@ -6,6 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from math import prod
 from operator import add
 from typing import Callable, Iterator
@@ -58,18 +59,22 @@ def enumerate_allocations(
         yield Allocation(inst.n, tuple(owner))
 
 
-def _scaled_objective(objective: Objective) -> Callable[[list[int]], int]:
-    if objective is Objective.EGALITARIAN:
-        return min
-    if objective is Objective.UTILITARIAN:
-        return sum
-    return prod
-
-
-def _true_value(objective: Objective, scaled: int, scale: int, n: int) -> Fraction:
-    if objective is Objective.NASH:
-        return Fraction(scaled, scale**n)
-    return Fraction(scaled, scale)
+def _ceilings(rows: tuple[tuple[int, ...], ...]) -> dict[Callable, Callable[[list[int], int], int]]:
+    """`ceilings[f](p, k)` bounds f over every allocation whose goods 1..k give
+    the scaled utilities `p` from above: f of every agent taking all remaining
+    goods (min, prod), or f of an equal split of the prefix total plus the
+    remaining goods' top values (sum, where it is exact; prod)."""
+    n = len(rows)
+    suffix_sums = lambda values: list(accumulate(reversed(values), initial=0))[::-1]
+    # rest[k][i]: agent i+1's value for goods k+1..m; top[k]: their top values
+    rest = list(zip(*map(suffix_sums, rows)))
+    top = suffix_sums(list(map(max, zip(*rows))))
+    return {
+        sum: lambda p, k: sum(p) + top[k],
+        min: lambda p, k: min(map(add, p, rest[k])),
+        # no split beats an equal one for Schur-concave prod; // is safe as products are integers
+        prod: lambda p, k: min(prod(map(add, p, rest[k])), (sum(p) + top[k]) ** n // n**n),
+    }
 
 
 def max_welfare(
@@ -86,17 +91,16 @@ def max_welfare(
     lex-first optimum. The key is the objective, or the (filter welfare,
     objective) pair for the welfare-maximizer filters. Except for
     round-robin outcomes, the stream is a branch-and-bound search that
-    skips a prefix once every agent taking all remaining goods still gives
-    a key at or below the incumbent's; every key is non-decreasing in each
-    agent's utility, so nothing skipped could improve. EF1 and balancedness
-    are checked only on improvements. `cap` bounds every search as it runs.
-    `pruned` is accepted and ignored: every solve is pruned.
+    skips a prefix once a ceiling on the key over its completions is at or
+    below the incumbent's, so nothing skipped could improve. EF1 and
+    balancedness are checked only on improvements. `cap` bounds every
+    search. `pruned` is accepted and ignored: every solve is pruned.
     """
     objective = Objective(objective)
     prop = PropertyFilter(prop)
-    n, m = inst.n, inst.m
+    n = inst.n
     scale, rows = scaled_rows(inst)
-    value = _scaled_objective(objective)
+    value = {Objective.EGALITARIAN: min, Objective.UTILITARIAN: sum, Objective.NASH: prod}[objective]
     key: Callable[[list[int]], object] = value
     accept: Callable[[tuple[int, ...]], bool] | None = None
     best = None
@@ -104,19 +108,18 @@ def max_welfare(
         outcomes = enumerate_rr_allocations(inst, cap)  # lexicographic
         candidates = ((a.owner, scaled_utilities(rows, n, a.owner)) for a in outcomes)
     else:
+        ceilings = _ceilings(rows)
+        ceiling = ceilings[value]
         if prop in (PropertyFilter.MAX_UTILITARIAN, PropertyFilter.MAX_NASH):
             welfare = sum if prop is PropertyFilter.MAX_UTILITARIAN else prod
             key = lambda util: (welfare(util), value(util))
+            first, then = ceilings[welfare], ceiling
+            ceiling = lambda prefix, k: (first(prefix, k), then(prefix, k))
         elif prop is PropertyFilter.EF1:
             accept = lambda owner: is_ef1(inst, Allocation(n, owner))
         elif prop is PropertyFilter.BALANCED:
             accept = lambda owner: is_balanced(Allocation(n, owner))
-        # rest[k][i]: the most agent i+1 can still gain from goods k+1..m
-        rest = [tuple(sum(row[k:]) for row in rows) for k in range(m + 1)]
-
-        def bound(prefix: list[int], k: int) -> bool:
-            return best is not None and key(list(map(add, prefix, rest[k]))) <= best
-
+        bound = lambda prefix, k: best is not None and ceiling(prefix, k) <= best
         candidates = iter_allocations_scaled(inst, cap, bound)
 
     witness: tuple[int, ...] | None = None
@@ -127,11 +130,9 @@ def max_welfare(
             best_util = util[:]
             witness = tuple(owner)
     assert witness is not None
-    return SolveResult(
-        value=_true_value(objective, value(best_util), scale, n),
-        witness=Allocation(n, witness),
-        explored=explored,
-    )
+    # a product of n scaled utilities carries the scale n times
+    scale **= n if objective is Objective.NASH else 1
+    return SolveResult(Fraction(value(best_util), scale), Allocation(n, witness), explored)
 
 
 def price_of_fairness(

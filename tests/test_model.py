@@ -220,12 +220,14 @@ def test_iter_allocations_scaled_prune_skips_extensions():
 def test_iter_allocations_scaled_counts_states_as_it_runs():
     inst = gen_thm5(F(3, 2), F(2, 5))  # n=2, m=3
     keep_all = lambda prefix_util, k: False
-    # 8 allocations plus the 4 prefixes entered after the first: (1,2),
-    # (2,), (2,1) and (2,2)
-    assert len(list(iter_allocations_scaled(inst, cap=12, prune=keep_all))) == 8
+    # 8 allocations and 4 prefixes asked about, but 2**3 fits the cap as a
+    # scan, so the search is never refused
+    assert len(list(iter_allocations_scaled(inst, cap=8, prune=keep_all))) == 8
+    # past the cap states are counted: (1,1,1), (1,1,2), prefix (1,2),
+    # (1,2,1), (1,2,2), prefixes (2,) and (2,1), then (2,1,1) is the eighth
     seen = []
     with pytest.raises(BudgetExceeded) as err:
-        for owner, _ in iter_allocations_scaled(inst, cap=11, prune=keep_all):
+        for owner, _ in iter_allocations_scaled(inst, cap=7, prune=keep_all):
             seen.append(tuple(owner))
-    assert (err.value.needed, err.value.cap) == (12, 11)
-    assert len(seen) == 7  # refused at the twelfth state, the last allocation
+    assert (err.value.needed, err.value.cap) == (8, 7)
+    assert seen == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]

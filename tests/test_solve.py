@@ -96,26 +96,33 @@ class TestMaxWelfare:
             assert_solver_matches_oracle(inst)
 
     def test_pruned_explored_counts(self):
-        # leaves reached, pinned so a change to the pruning order shows
+        # allocations the default search reaches, pinned so a change to the
+        # pruning order shows
         rng = random.Random(5)
         explored = [
-            max_welfare(random_instance(rng, 2, 12), Objective.EGALITARIAN, pruned=True).explored
+            max_welfare(random_instance(rng, 2, 12), Objective.EGALITARIAN).explored
             for _ in range(3)
         ]
         assert explored == [36, 30, 218]
 
     def test_budget(self):
-        inst = validate_instance([[F(1, 30)] * 30, [F(1, 30)] * 30])
-        with pytest.raises(BudgetExceeded):
-            max_welfare(inst, Objective.EGALITARIAN, cap=10**6)
-
-    def test_running_budget(self):
-        # 2**30 allocations, but the pruned search is refused only when its
-        # count of states passes the cap, not by an up-front n**m check
+        # 2**30 allocations: the search is refused only when its count of
+        # states passes the cap, not by an up-front n**m check
         inst = validate_instance([[F(1, 30)] * 30, [F(1, 30)] * 30])
         with pytest.raises(BudgetExceeded) as err:
             max_welfare(inst, Objective.EGALITARIAN, cap=10**4)
         assert (err.value.needed, err.value.cap) == (10**4 + 1, 10**4)
+
+    def test_never_refused_within_allocation_count(self):
+        # 2**10 allocations fit the cap; the search asks about 753 prefixes
+        # and yields 512 allocations, 1,265 states, and is still not refused
+        inst = validate_instance([[F(1, 10)] * 10, [F(0)] * 9 + [F(1)]])
+        result = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.BALANCED, cap=2**10)
+        assert (result.value, result.witness.owner) == (F(1, 2), (1,) * 5 + (2,) * 5)
+        # every allocation is worth 1, so the sum's ceiling stops the search
+        # at the second allocation
+        tied = validate_instance([[F(1, 20)] * 20, [F(1, 20)] * 20])
+        assert max_welfare(tied, Objective.UTILITARIAN).explored == 2
 
     @pytest.mark.parametrize(
         "prop, pof", [(PropertyFilter.EF1, F(5, 3)), (PropertyFilter.BALANCED, F(5, 2))]
