@@ -301,24 +301,29 @@ def scaled_utilities(
 def iter_allocations_scaled(
     inst: Instance,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    prune: Callable[[list[int], int], bool] | None = None,
+    ceiling: Callable[[list[int], int], object] | None = None,
+    floor: list | None = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield (owner, per-agent scaled utility) in lexicographic order.
 
     The yielded lists are reused between iterations; copy before storing.
 
-    After the first allocation, `prune(util, k)` is asked about every prefix
-    owner[:k] with 0 < k < m that the enumeration enters, where util holds
-    the scaled utilities of goods 1..k alone (valid only during the call).
-    Returning True skips every allocation that extends that prefix.
+    With `ceiling` the enumeration is a branch-and-bound search. `floor` is
+    a one-element list in which the consumer keeps its incumbent's
+    comparison key, None until it has one. While floor[0] is not None,
+    `ceiling(util, k)` is asked about every prefix owner[:k] with 0 < k < m
+    that the enumeration enters, where util holds the scaled utilities of
+    goods 1..k alone (valid only during the call). A prefix whose ceiling
+    is at or below floor[0] is skipped with every allocation that extends
+    it.
 
     A search with n**m <= cap is never refused. A larger one raises
-    BudgetExceeded(n**m, cap) up front without `prune`; with it, states
+    BudgetExceeded(n**m, cap) up front without `ceiling`; with it, states
     (allocations yielded, prefixes asked about) are counted as they are
     visited and BudgetExceeded(cap + 1, cap) fires at the first over `cap`.
     """
     n, m = inst.n, inst.m
-    if prune is None and n**m > cap:
+    if ceiling is None and n**m > cap:
         raise BudgetExceeded(n**m, cap)
     limit = cap if n**m > cap else inf
     _, rows = scaled_rows(inst)
@@ -345,14 +350,14 @@ def iter_allocations_scaled(
                 continue
             owner[j] = a + 1
             util[a] += rows[a][j]
-            if prune is None:
+            if ceiling is None or floor[0] is None:
                 break
             for k in range(j + 1, m):
                 states += 1
                 if states > limit:
                     raise BudgetExceeded(cap + 1, cap)
                 util[0] -= tail[k]
-                rejected = prune(util, k)
+                rejected = ceiling(util, k) <= floor[0]
                 util[0] += tail[k]
                 if rejected:
                     j = k - 1  # advance the last good of the rejected prefix

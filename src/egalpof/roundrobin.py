@@ -1,12 +1,13 @@
-"""The round-robin picking algorithm, its full outcome set, and the
-constructive procedures that round arbitrary allocations into balanced or
-round-robin ones with bounded egalitarian loss."""
+"""The round-robin picking algorithm, a layered search over its outcomes,
+and the constructive procedures that round arbitrary allocations into
+balanced or round-robin ones with bounded egalitarian loss."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from operator import itemgetter
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .errors import BudgetExceeded, EmptyBundle, PreconditionViolated
 from .model import (
@@ -105,47 +106,97 @@ def run_round_robin(inst: Instance, sched: RRSchedule) -> RRTrace:
     return RRTrace(tuple(picks), Allocation(inst.n, tuple(owner)))
 
 
-def enumerate_rr_allocations(
-    inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
-) -> list[Allocation]:
-    """Every allocation some (ordering, tiebreak) pair can produce.
+# State keys for layered_rr_search, whose states are (pickers, owner, free,
+# util). Equal keys must mean equal completions, so a key keeps the pickers.
+BY_OWNER = itemgetter(0, 1)
+BY_FREE_AND_UTILITIES = itemgetter(0, 2, 3)
 
-    Only the first min(n, m) pickers of an ordering ever pick, so for each
-    ordering of those pickers, builds the distinct partial allocations one
-    pick at a time: each extends by every remaining good tied for the
-    picker's maximum utility. `cap` bounds the number of these partial
-    allocations, summed over the orderings; BudgetExceeded fires at the
-    first one over it. Returns the outcomes in lexicographic owner order.
+
+def layered_rr_search(
+    inst: Instance,
+    key: Callable[[tuple], Hashable],
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    target: Sequence[int] | None = None,
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The final (owner, per-agent scaled utilities) states of round-robin,
+    built one pick per layer.
+
+    A state is a tuple (pickers, owner, free, util): the agents that have
+    picked in the first round, the partial owner vector (0 = still free),
+    the bitmask of free 0-based goods and the scaled utilities. The pickers
+    are kept in order when m > n and as a sorted set when m <= n, where
+    there is only one round. In the first round the next picker is any
+    agent that has not picked yet; later rounds repeat the first round's
+    order. A state extends by every free good tied for the picker's top
+    utility, or with `target` only by those the picker owns in `target`.
+    Each layer keeps one state per `key(state)`, the one with the
+    lexicographically smallest owner vector; states with equal keys must
+    have the same completions (`BY_OWNER`, `BY_FREE_AND_UTILITIES`). `cap`
+    bounds the keyed states summed over the layers; BudgetExceeded fires at
+    the first one over it.
     """
     _, rows = scaled_rows(inst)
     n, m = inst.n, inst.m
-    outcomes: set[tuple[int, ...]] = set()
+    agents = inst.agents()
+    # each agent's 0-based goods, most valuable first (the sort is stable)
+    ranked = [sorted(range(m), key=row.__getitem__, reverse=True) for row in rows]
+    layer = {None: ((), (0,) * m, (1 << m) - 1, (0,) * n)}
     states = 0
-    for ordering in itertools.permutations(inst.agents(), min(n, m)):
-        # partial owner vector (0 = still free) -> its free 0-based goods
-        layer = {(0,) * m: tuple(range(m))}
-        for k in range(m):
-            agent = ordering[k % n]
-            row = rows[agent - 1]
-            after: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for owner, free in layer.items():
-                top = max(map(row.__getitem__, free))
-                for i, g in enumerate(free):
-                    if row[g] == top:
-                        child = owner[:g] + (agent,) + owner[g + 1 :]
-                        if child not in after:
-                            states += 1
-                            if states > cap:
-                                raise BudgetExceeded(cap + 1, cap)
-                            after[child] = free[:i] + free[i + 1 :]
-            layer = after
-        outcomes.update(layer)
-    return [Allocation(n, o) for o in sorted(outcomes)]
+    for k in range(m):
+        after: dict[Hashable, tuple] = {}
+        for pickers, owner, free, util in layer.values():
+            if k >= n:
+                moves = ((pickers[k % n], pickers),)
+            elif m > n:
+                moves = [(a, pickers + (a,)) for a in agents if a not in pickers]
+            else:
+                moves = [(a, tuple(sorted(pickers + (a,)))) for a in agents if a not in pickers]
+            for agent, after_pick in moves:
+                row = rows[agent - 1]
+                top = None
+                for g in ranked[agent - 1]:
+                    if owner[g]:
+                        continue
+                    if top is None:
+                        top = row[g]
+                        gained = util[: agent - 1] + (util[agent - 1] + top,) + util[agent:]
+                    elif row[g] != top:
+                        break
+                    if target is not None and target[g] != agent:
+                        continue
+                    child = owner[:g] + (agent,) + owner[g + 1 :]
+                    new = (after_pick, child, free ^ 1 << g, gained)
+                    held = after.setdefault(key(new), new)
+                    if held is new:
+                        states += 1
+                        if states > cap:
+                            raise BudgetExceeded(cap + 1, cap)
+                    elif child < held[1]:
+                        after[key(new)] = new
+        layer = after
+    return [(owner, util) for _, owner, _, util in layer.values()]
+
+
+def enumerate_rr_allocations(
+    inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[Allocation]:
+    """Every allocation some (ordering, tiebreak) pair can produce, in
+    lexicographic owner order.
+
+    Runs `layered_rr_search` keyed by the owner vector. When m <= n the
+    states of all orderings merge, so on the all-tied 6x6 instance the
+    search holds 13,326 states for 720 outcomes. `cap` bounds those states.
+    """
+    final = layered_rr_search(inst, BY_OWNER, cap)
+    return [Allocation(inst.n, o) for o in sorted({owner for owner, _ in final})]
 
 
 def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+    """Whether some (ordering, tiebreak) pair produces `alloc`: a layered
+    search in which every picker may take only a top free good that it owns
+    in `alloc` reaches a complete allocation."""
     _check_pair(inst, alloc)
-    return alloc in enumerate_rr_allocations(inst, cap)
+    return bool(layered_rr_search(inst, BY_OWNER, cap, alloc.owner))
 
 
 def _ranked_bundles(inst: Instance, alloc: Allocation) -> list[tuple[int, ...]]:

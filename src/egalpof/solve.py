@@ -19,10 +19,9 @@ from .model import (
     extended_ratio,
     iter_allocations_scaled,
     scaled_rows,
-    scaled_utilities,
 )
 from .properties import is_balanced, is_ef1
-from .roundrobin import enumerate_rr_allocations
+from .roundrobin import BY_FREE_AND_UTILITIES, layered_rr_search
 
 
 class Objective(str, Enum):
@@ -43,8 +42,10 @@ class PropertyFilter(str, Enum):
 @dataclass(frozen=True)
 class SolveResult:
     """Exact optimum, its lexicographically smallest witness, and `explored`:
-    the candidates the solve loop received, which are the allocations the
-    branch-and-bound search reached or the distinct round-robin outcomes."""
+    the candidates the solve loop received. These are the allocations the
+    branch-and-bound search reached, or for round-robin the final states of
+    the layered search, one per pair of first-round pickers and utilities
+    that some round-robin run reaches."""
 
     value: Fraction
     witness: Allocation
@@ -89,12 +90,16 @@ def max_welfare(
     One loop keeps the first strict improvement of a key over a
     lexicographically ordered stream of candidates, so the witness is the
     lex-first optimum. The key is the objective, or the (filter welfare,
-    objective) pair for the welfare-maximizer filters. Except for
-    round-robin outcomes, the stream is a branch-and-bound search that
-    skips a prefix once a ceiling on the key over its completions is at or
-    below the incumbent's, so nothing skipped could improve. EF1 and
-    balancedness are checked only on improvements. `cap` bounds every
-    search. `pruned` is accepted and ignored: every solve is pruned.
+    objective) pair for the welfare-maximizer filters. For round-robin the
+    stream is the sorted final states of `layered_rr_search` keyed by
+    pickers, free goods and utilities: each key keeps the lex-smallest
+    owner vector, and states with the same key have the same completions,
+    so the optimum and its lex-first witness survive the merging. Otherwise
+    the stream is a branch-and-bound search that skips a prefix once a
+    ceiling on the key over its completions is at or below the incumbent's,
+    so nothing skipped could improve. EF1 and balancedness are checked
+    only on improvements. `cap` bounds every search. `pruned` is accepted
+    and ignored: every solve is pruned.
     """
     objective = Objective(objective)
     prop = PropertyFilter(prop)
@@ -103,10 +108,9 @@ def max_welfare(
     value = {Objective.EGALITARIAN: min, Objective.UTILITARIAN: sum, Objective.NASH: prod}[objective]
     key: Callable[[list[int]], object] = value
     accept: Callable[[tuple[int, ...]], bool] | None = None
-    best = None
+    floor = [None]  # the incumbent's key, as the branch-and-bound search reads it
     if prop is PropertyFilter.ROUND_ROBIN:
-        outcomes = enumerate_rr_allocations(inst, cap)  # lexicographic
-        candidates = ((a.owner, scaled_utilities(rows, n, a.owner)) for a in outcomes)
+        candidates = sorted(layered_rr_search(inst, BY_FREE_AND_UTILITIES, cap))
     else:
         ceilings = _ceilings(rows)
         ceiling = ceilings[value]
@@ -119,14 +123,13 @@ def max_welfare(
             accept = lambda owner: is_ef1(inst, Allocation(n, owner))
         elif prop is PropertyFilter.BALANCED:
             accept = lambda owner: is_balanced(Allocation(n, owner))
-        bound = lambda prefix, k: best is not None and ceiling(prefix, k) <= best
-        candidates = iter_allocations_scaled(inst, cap, bound)
+        candidates = iter_allocations_scaled(inst, cap, ceiling, floor)
 
-    witness: tuple[int, ...] | None = None
+    best = witness = None
     for explored, (owner, util) in enumerate(candidates, 1):
         score = key(util)
         if (best is None or score > best) and (accept is None or accept(tuple(owner))):
-            best = score
+            best = floor[0] = score
             best_util = util[:]
             witness = tuple(owner)
     assert witness is not None

@@ -2,18 +2,24 @@
 
 It prunes nothing. It scans every allocation `enumerate_allocations` yields,
 evaluates each welfare in `Fraction`s and keeps, per filter, the
-allocations the filter admits.
+allocations the filter admits. The round-robin allocations are those
+`run_round_robin` produces over every ordering and every profile of
+utility-refining priorities.
 """
+
+import itertools
 
 from egalpof import (
     Objective,
     PropertyFilter,
+    RRSchedule,
     egalitarian_welfare,
     enumerate_allocations,
     is_balanced,
     is_ef1,
     max_welfare,
     nash_welfare,
+    run_round_robin,
     utilitarian_welfare,
 )
 
@@ -24,9 +30,32 @@ WELFARE = {
 }
 
 
+def _refining_priorities(inst, agent):
+    """Every strict priority over the goods that refines the agent's utilities."""
+    row = inst.row(agent)
+    classes = [
+        [g for g in inst.goods() if row[g - 1] == value]
+        for value in sorted(set(row), reverse=True)
+    ]
+    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
+        yield tuple(g for part in parts for g in part)
+
+
+def every_schedule_outcome(inst):
+    """(ordering, allocation) for every ordering of the agents and every
+    profile of utility-refining priorities."""
+    profiles = list(
+        itertools.product(*(_refining_priorities(inst, i) for i in inst.agents()))
+    )
+    for ordering in itertools.permutations(inst.agents()):
+        for priority in profiles:
+            trace = run_round_robin(inst, RRSchedule(ordering, priority))
+            yield ordering, trace.allocation
+
+
 def exhaustive_optima(inst):
     """{(objective, filter): (value, lex-first witness)} for every objective
-    and every filter except round-robin."""
+    and every filter."""
     allocs = list(enumerate_allocations(inst))
     welfare = {obj: [f(inst, a) for a in allocs] for obj, f in WELFARE.items()}
 
@@ -34,12 +63,14 @@ def exhaustive_optima(inst):
         top = max(values)
         return [v == top for v in values]
 
+    rr_outcomes = {alloc for _, alloc in every_schedule_outcome(inst)}
     admitted = {
         PropertyFilter.NONE: [True] * len(allocs),
         PropertyFilter.EF1: [is_ef1(inst, a) for a in allocs],
         PropertyFilter.BALANCED: [is_balanced(a) for a in allocs],
         PropertyFilter.MAX_UTILITARIAN: argmax(welfare[Objective.UTILITARIAN]),
         PropertyFilter.MAX_NASH: argmax(welfare[Objective.NASH]),
+        PropertyFilter.ROUND_ROBIN: [a in rr_outcomes for a in allocs],
     }
     optima = {}
     for prop, keep in admitted.items():

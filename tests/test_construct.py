@@ -74,7 +74,7 @@ class TestGenThm1:
     def test_pof_rr_closed_form(self):
         # agent 1 must pick first or lose good 1; agent 3 at best picks
         # second, which leaves it floor((m+1)/3) goods
-        for m in range(3, 11):
+        for m in range(3, 14):
             for eps in (F(1, 10 * m), F(1, 1000)):
                 pof = price_of_fairness(gen_thm1(3, m, eps), PropertyFilter.ROUND_ROBIN)
                 assert pof == F(m - 2, (m + 1) // 3)

@@ -1,27 +1,27 @@
 """Property-based checks of the exact-arithmetic invariants."""
 
-import itertools
 from fractions import Fraction as F
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import assert_solver_matches_oracle
+from _oracle import assert_solver_matches_oracle, every_schedule_outcome
 from _strategies import instances, instances_with_allocation
 from egalpof import (
     Objective,
     PropertyFilter,
-    RRSchedule,
     balanced_from_mew,
     bundle_utility,
     agent_utilities,
     default_schedule,
     dominates,
     egalitarian_welfare,
+    enumerate_allocations,
     enumerate_rr_allocations,
     envy_graph,
     is_balanced,
     is_ef1,
+    is_rr,
     max_welfare,
     nash_welfare,
     normalize_instance,
@@ -102,33 +102,16 @@ def test_rr_outputs_are_ef1_and_balanced(inst):
         assert is_balanced(alloc)
 
 
-def _refining_priorities(inst, agent):
-    """Every strict priority over the goods that refines the agent's utilities."""
-    row = inst.row(agent)
-    classes = [
-        [g for g in inst.goods() if row[g - 1] == value]
-        for value in sorted(set(row), reverse=True)
-    ]
-    for parts in itertools.product(*(itertools.permutations(c) for c in classes)):
-        yield tuple(g for part in parts for g in part)
-
-
 @settings(max_examples=200, deadline=None)
 @given(instances(max_m=4, max_value=2))
 def test_rr_search_matches_every_schedule(inst):
     # tie-heavy instances; the oracle runs round-robin once per ordering and
     # per profile of utility-refining priorities
-    profiles = list(
-        itertools.product(*(_refining_priorities(inst, i) for i in inst.agents()))
-    )
-    expected = sorted(
-        {
-            run_round_robin(inst, RRSchedule(ordering, priority)).allocation.owner
-            for ordering in itertools.permutations(inst.agents())
-            for priority in profiles
-        }
-    )
+    expected = sorted({alloc.owner for _, alloc in every_schedule_outcome(inst)})
     assert [a.owner for a in enumerate_rr_allocations(inst)] == expected
+    # the targeted search agrees on every allocation
+    for alloc in enumerate_allocations(inst):
+        assert is_rr(inst, alloc) == (alloc.owner in expected)
 
 
 @given(instances(max_m=4), st.data())
@@ -186,20 +169,29 @@ def test_filter_set_containment(inst):
 @given(instances(max_m=4))
 def test_explored_counts_examined_candidates(inst):
     # the pruned search examines at least one and at most every owner
-    # vector; rr examines each distinct outcome
-    outcomes = len(enumerate_rr_allocations(inst))
+    # vector; rr examines the keyed final states of its layered search, one
+    # per pair of first-round pickers (in order when m > n, as a set
+    # otherwise) and utilities that some schedule reaches
+    final = {
+        (
+            ordering if inst.m > inst.n else frozenset(ordering[: inst.m]),
+            agent_utilities(inst, alloc),
+        )
+        for ordering, alloc in every_schedule_outcome(inst)
+    }
     for objective in Objective:
         for prop in PropertyFilter:
             explored = max_welfare(inst, objective, prop).explored
             if prop is PropertyFilter.ROUND_ROBIN:
-                assert explored == outcomes
+                assert explored == len(final)
             else:
                 assert 1 <= explored <= inst.n**inst.m
 
 
-@settings(max_examples=40, deadline=None)
-@given(instances(max_m=4))
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(instances(max_m=4), instances(max_m=4, max_value=2)))
 def test_pruned_solver_matches_exhaustive(inst):
+    # tie-heavy instances make the round-robin search merge states
     assert_solver_matches_oracle(inst)
 
 

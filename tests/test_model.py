@@ -205,29 +205,35 @@ def test_iter_allocations_scaled_prune_skips_extensions():
     inst = validate_instance([[F(1, 5)] * 5] * 3)  # every scaled entry is 1
     asked = []
 
-    def two_at_agent_2(prefix_util, k):
+    def ceiling(prefix_util, k):
         asked.append(k)
         assert sum(prefix_util) == k  # goods 1..k only
-        return prefix_util[1] >= 2
+        return -prefix_util[1]  # at or below -2 once agent 2 holds two goods
 
-    kept = [tuple(o) for o, _ in iter_allocations_scaled(inst, prune=two_at_agent_2)]
+    kept = [tuple(o) for o, _ in iter_allocations_scaled(inst, ceiling=ceiling, floor=[-2])]
     # whole allocations (k = m) are never asked about
     expected = [o for o in itertools.product((1, 2, 3), repeat=5) if o[:-1].count(2) < 2]
     assert kept == expected
     assert set(asked) == {1, 2, 3, 4}
+    # nothing is asked before the consumer has an incumbent
+    asked.clear()
+    assert len(list(iter_allocations_scaled(inst, ceiling=ceiling, floor=[None]))) == 3**5
+    assert not asked
 
 
 def test_iter_allocations_scaled_counts_states_as_it_runs():
     inst = gen_thm5(F(3, 2), F(2, 5))  # n=2, m=3
-    keep_all = lambda prefix_util, k: False
+    never = lambda prefix_util, k: 1  # above the floor, so nothing is skipped
+    search = lambda cap: iter_allocations_scaled(inst, cap, never, [0])
+
     # 8 allocations and 4 prefixes asked about, but 2**3 fits the cap as a
     # scan, so the search is never refused
-    assert len(list(iter_allocations_scaled(inst, cap=8, prune=keep_all))) == 8
+    assert len(list(search(8))) == 8
     # past the cap states are counted: (1,1,1), (1,1,2), prefix (1,2),
     # (1,2,1), (1,2,2), prefixes (2,) and (2,1), then (2,1,1) is the eighth
     seen = []
     with pytest.raises(BudgetExceeded) as err:
-        for owner, _ in iter_allocations_scaled(inst, cap=7, prune=keep_all):
+        for owner, _ in search(7):
             seen.append(tuple(owner))
     assert (err.value.needed, err.value.cap) == (8, 7)
     assert seen == [(1, 1, 1), (1, 1, 2), (1, 2, 1), (1, 2, 2)]

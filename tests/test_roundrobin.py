@@ -85,6 +85,23 @@ class TestEnumerateRR:
         owners = [a.owner for a in enumerate_rr_allocations(inst, cap=1000)]
         assert owners == [(a, b) for a in range(1, 9) for b in range(1, 9) if a != b]
 
+    def test_one_round_merges_orderings(self):
+        # m = n: states of all orderings merge, 13,326 of them here, where
+        # keeping each ordering apart needs 1,408,320
+        inst = validate_instance([[F(1, 6)] * 6] * 6)
+        outcomes = enumerate_rr_allocations(inst, cap=20_000)
+        assert len(outcomes) == 720
+        assert all(sorted(a.owner) == list(range(1, 7)) for a in outcomes)
+
+    def test_targeted_is_rr(self):
+        # full enumeration of this instance needs 130,921 states; the
+        # targeted search only follows picks that match the allocation
+        inst = validate_instance([[F(1, 7)] * 7] * 7)
+        assert is_rr(inst, Allocation(7, (3, 1, 4, 7, 5, 2, 6)), cap=10_000)
+        assert not is_rr(inst, Allocation(7, (1, 1, 2, 3, 4, 5, 6)), cap=10_000)
+        with pytest.raises(BudgetExceeded):
+            enumerate_rr_allocations(inst, cap=10_000)
+
 
 class TestBalancedFromMew:
     def test_thm1_rounding(self):
