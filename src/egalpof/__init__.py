@@ -1,9 +1,9 @@
 """Exact egalitarian-welfare toolkit for fair division of indivisible goods.
 
 Instances carry exact rational utilities normalized per agent; solvers
-enumerate (with optional pruning) to find welfare optima under fairness
-filters; constructive routines round arbitrary allocations into balanced or
-round-robin ones with proven egalitarian floors.
+find welfare optima under fairness filters by branch-and-bound (round-robin
+by a layered search over its picks); constructive routines round arbitrary
+allocations into balanced or round-robin ones with proven egalitarian floors.
 """
 
 from .construct import gen_thm1, gen_thm4, gen_thm5, gen_thm7, pad_instance, thm5_x_feasible

@@ -30,8 +30,6 @@ def gen_thm1(n: int, m: int, eps=None) -> Instance:
         raise ParamOutOfRange("eps must be positive")
     if (m - 1) * eps >= 1:
         raise ParamOutOfRange(f"(m-1)*eps = {(m - 1) * eps} >= 1")
-    if eps >= 1:
-        raise ParamOutOfRange("eps must stay below 1 so eps^2 < eps")
     if eps >= 1 - (m - 1) * eps:
         raise ParamOutOfRange("eps must stay below 1 - (m-1)*eps")
     rows = [[ONE] + [ZERO] * (m - 1)]

@@ -308,14 +308,18 @@ def iter_allocations_scaled(
 
     The yielded lists are reused between iterations; copy before storing.
 
+    One depth-first loop walks the prefixes owner[:k]. It extends a prefix
+    by putting good k+1 on agent 1, or moves the prefix's last good to the
+    next agent and takes it off again after agent n. `util` always holds the
+    scaled utilities of the goods in the current prefix.
+
     With `ceiling` the enumeration is a branch-and-bound search. `floor` is
     a one-element list in which the consumer keeps its incumbent's
     comparison key, None until it has one. While floor[0] is not None,
     `ceiling(util, k)` is asked about every prefix owner[:k] with 0 < k < m
-    that the enumeration enters, where util holds the scaled utilities of
-    goods 1..k alone (valid only during the call). A prefix whose ceiling
-    is at or below floor[0] is skipped with every allocation that extends
-    it.
+    that the loop enters, util being that prefix's (valid only during the
+    call). A prefix whose ceiling is at or below floor[0] is skipped with
+    every allocation that extends it.
 
     A search with n**m <= cap is never refused. A larger one raises
     BudgetExceeded(n**m, cap) up front without `ceiling`; with it, states
@@ -327,42 +331,33 @@ def iter_allocations_scaled(
         raise BudgetExceeded(n**m, cap)
     limit = cap if n**m > cap else inf
     _, rows = scaled_rows(inst)
-    owner = [1] * m
-    row0 = rows[0]
-    util = [sum(row0)] + [0] * (n - 1)
-    # tail[k]: agent 1's value for goods k+1..m. A carry resets every later
-    # good to agent 1, so util less tail[k] on agent 1 is the prefix's util.
-    tail = [sum(row0[k:]) for k in range(m + 1)]
+    owner = [0] * m
+    util = [0] * n
     states = 0
+    k = 0  # owner[:k] is the current prefix
+    entered = True  # False while leaving owner[:k] for the next prefix
     while True:
-        states += 1
-        if states > limit:
-            raise BudgetExceeded(cap + 1, cap)
-        yield owner, util
-        j = m - 1
-        while j >= 0:
-            a = owner[j]
-            util[a - 1] -= rows[a - 1][j]
-            if a == n:
-                owner[j] = 1
-                util[0] += row0[j]
-                j -= 1
-                continue
-            owner[j] = a + 1
-            util[a] += rows[a][j]
-            if ceiling is None or floor[0] is None:
-                break
-            for k in range(j + 1, m):
-                states += 1
-                if states > limit:
-                    raise BudgetExceeded(cap + 1, cap)
-                util[0] -= tail[k]
-                rejected = ceiling(util, k) <= floor[0]
-                util[0] += tail[k]
-                if rejected:
-                    j = k - 1  # advance the last good of the rejected prefix
-                    break
+        if entered and (k == m or k and ceiling is not None and floor[0] is not None):
+            states += 1
+            if states > limit:
+                raise BudgetExceeded(cap + 1, cap)
+            if k == m:
+                yield owner, util
+                entered = False
             else:
-                break
-        if j < 0:
+                entered = not ceiling(util, k) <= floor[0]
+        if entered:  # extend: good k+1 goes to agent 1
+            owner[k] = 1
+            util[0] += rows[0][k]
+            k += 1
+            continue
+        k -= 1  # good k+1 moves to the next agent, or is taken off after agent n
+        if k < 0:
             return
+        a = owner[k]
+        util[a - 1] -= rows[a - 1][k]
+        if a < n:
+            owner[k] = a + 1
+            util[a] += rows[a][k]
+            k += 1
+            entered = True

@@ -4,6 +4,7 @@ Pareto-optimality and the envy graph with its cycle rotation."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import ge, gt
 from typing import Iterator, Sequence
 
@@ -51,19 +52,15 @@ class EnvyGraph:
         for _, j in self.edges:
             indegree[j] += 1
         order: list[int] = []
-        ready = sorted(v for v, d in indegree.items() if d == 0)
+        ready = [v for v, d in indegree.items() if d == 0]  # ascending, so a heap
         while ready:
-            v = ready.pop(0)
+            v = heappop(ready)
             order.append(v)
-            changed = False
             for i, j in self.edges:
                 if i == v:
                     indegree[j] -= 1
                     if indegree[j] == 0:
-                        ready.append(j)
-                        changed = True
-            if changed:
-                ready.sort()
+                        heappush(ready, j)
         return tuple(order) if len(order) == self.n else None
 
     def find_cycle(self) -> tuple[int, ...] | None:

@@ -47,13 +47,9 @@ def priority_order(
 ) -> tuple[int, ...]:
     """Goods sorted by descending utility; `prefer` jumps to the front of its
     utility-tie class; remaining ties fall back to ascending good index."""
-    row = inst.u[agent - 1]
-    return tuple(
-        sorted(
-            inst.goods(),
-            key=lambda g: (-row[g - 1], 0 if g == prefer else 1, g),
-        )
-    )
+    row = scaled_rows(inst)[1][agent - 1]
+    # the sort is stable, so ties keep ascending good index
+    return tuple(sorted(inst.goods(), key=lambda g: (-row[g - 1], g != prefer)))
 
 
 def default_schedule(
@@ -138,8 +134,8 @@ def layered_rr_search(
     _, rows = scaled_rows(inst)
     n, m = inst.n, inst.m
     agents = inst.agents()
-    # each agent's 0-based goods, most valuable first (the sort is stable)
-    ranked = [sorted(range(m), key=row.__getitem__, reverse=True) for row in rows]
+    # each agent's 0-based goods, most valuable first
+    ranked = [[g - 1 for g in priority_order(inst, i)] for i in agents]
     layer = {None: ((), (0,) * m, (1 << m) - 1, (0,) * n)}
     states = 0
     for k in range(m):
@@ -228,17 +224,9 @@ def balanced_from_mew(inst: Instance, alloc: Allocation) -> Allocation:
     # a bundle below quota has at most q - 1 goods, so it is kept whole
     keep = [list(ranked[i][: q if i in keeps_q else q - 1]) for i in range(n)]
 
-    target = [q - 1] * n
-    slots = r
-    for i in sorted(keeps_q):
-        target[i] = q
-        slots -= 1
-    for i in range(n):
-        if slots == 0:
-            break
-        if i not in keeps_q:
-            target[i] = q
-            slots -= 1
+    # the r agents at quota q: every agent keeping q goods, then the rest by index
+    at_q = set((sorted(keeps_q) + [i for i in range(n) if i not in keeps_q])[:r])
+    target = [q if i in at_q else q - 1 for i in range(n)]
 
     kept = {g for goods in keep for g in goods}
     pool = [g for g in inst.goods() if g not in kept]

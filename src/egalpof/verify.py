@@ -179,13 +179,8 @@ def _run_facts(
             is_ef1(inst, alloc) and is_balanced(alloc)
         )
     total = inst.n ** inst.m
-    if total <= _EF1_SAMPLE_CAP:
-        owners = (_owner_from_index(i, inst.n, inst.m) for i in range(total))
-    else:
-        indices = rng.sample(range(total), _EF1_SAMPLE_CAP)
-        owners = (_owner_from_index(i, inst.n, inst.m) for i in indices)
-    for owner in owners:
-        alloc = Allocation(inst.n, owner)
+    for i in rng.sample(range(total), min(total, _EF1_SAMPLE_CAP)):
+        alloc = Allocation(inst.n, _owner_from_index(i, inst.n, inst.m))
         checks["ef1_forms_agree"].record(
             is_ef1(inst, alloc) == _ef1_existential(inst, alloc)
         )

@@ -26,8 +26,9 @@ from egalpof import (
     utilitarian_welfare,
     validate_instance,
 )
-from egalpof.model import iter_allocations_scaled, scaled_rows
+from egalpof.model import Instance, iter_allocations_scaled, scaled_rows
 from egalpof import gen_thm4, gen_thm5
+from egalpof.solve import Objective, PropertyFilter, max_welfare
 
 
 class TestValidateInstance:
@@ -221,16 +222,30 @@ def test_iter_allocations_scaled_prune_skips_extensions():
     assert not asked
 
 
+def test_iter_allocations_scaled_unbeatable_floor_yields_nothing():
+    inst = validate_instance([[F(1, 5)] * 5] * 3)
+    # a floor set from the start is asked about the first path's prefixes too
+    assert list(iter_allocations_scaled(inst, ceiling=lambda p, k: 0, floor=[0])) == []
+
+
+def test_iter_allocations_scaled_no_goods_is_one_empty_allocation():
+    inst = Instance(2, 0, ((), ()))
+    assert [(tuple(o), tuple(u)) for o, u in iter_allocations_scaled(inst)] == [((), (0, 0))]
+    for objective, prop in itertools.product(Objective, PropertyFilter):
+        result = max_welfare(inst, objective, prop)
+        assert (result.value, result.witness.owner, result.explored) == (0, (), 1)
+
+
 def test_iter_allocations_scaled_counts_states_as_it_runs():
     inst = gen_thm5(F(3, 2), F(2, 5))  # n=2, m=3
     never = lambda prefix_util, k: 1  # above the floor, so nothing is skipped
     search = lambda cap: iter_allocations_scaled(inst, cap, never, [0])
 
-    # 8 allocations and 4 prefixes asked about, but 2**3 fits the cap as a
+    # 8 allocations and 6 prefixes asked about, but 2**3 fits the cap as a
     # scan, so the search is never refused
     assert len(list(search(8))) == 8
-    # past the cap states are counted: (1,1,1), (1,1,2), prefix (1,2),
-    # (1,2,1), (1,2,2), prefixes (2,) and (2,1), then (2,1,1) is the eighth
+    # past the cap states are counted: prefixes (1,) and (1,1), (1,1,1),
+    # (1,1,2), prefix (1,2), (1,2,1), (1,2,2), then prefix (2,) is the eighth
     seen = []
     with pytest.raises(BudgetExceeded) as err:
         for owner, _ in search(7):

@@ -1,6 +1,8 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from egalpof import (
     Allocation,
@@ -17,6 +19,7 @@ from egalpof import (
     rotate_cycle,
     validate_instance,
 )
+from egalpof.properties import EnvyGraph
 
 IDENTITY = validate_instance([[1, 0], [0, 1]])
 MIXED = validate_instance([[F(1, 2), F(1, 2)], [F(3, 4), F(1, 4)]])
@@ -76,6 +79,31 @@ class TestEnvyGraph:
         assert graph.topological_order() == (1, 2)
         with pytest.raises(ValueError):
             envy_graph(CYCLIC, Allocation(3, (1, 2, 3))).topological_order()
+
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.frozensets(
+                    st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda e: e[0] != e[1])
+                ),
+            )
+        )
+    )
+    def test_topological_order_is_lex_smallest(self, case):
+        n, edges = case
+        graph = EnvyGraph(n, edges)
+        # permutations come in lexicographic order, so the first valid one is the smallest
+        orders = [
+            p
+            for p in itertools.permutations(range(1, n + 1))
+            if all(p.index(i) < p.index(j) for i, j in edges)
+        ]
+        if orders:
+            assert graph.topological_order() == orders[0]
+        else:
+            with pytest.raises(ValueError):
+                graph.topological_order()
 
 
 class TestDominates:
