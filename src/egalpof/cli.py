@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .construct import gen_thm1, gen_thm4, gen_thm5, gen_thm7, pad_instance
-from .errors import CrossCheckError, EgalpofError, ParseError
+from .errors import CrossCheckError, EgalpofError, ParamOutOfRange, ParseError
 from .model import DEFAULT_ENUMERATION_CAP
 from .reports import build_report, render_csv, render_markdown
 from .serialize import load_instance, parse_rational, save_instance
@@ -89,15 +89,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_cap(args) -> int:
-    if getattr(args, "cap", None) is not None:
-        return args.cap
+    cap, source = getattr(args, "cap", None), "--cap"
     env = os.environ.get("EGALPOF_CAP")
-    if env is not None:
+    if cap is None and env is not None:
         try:
-            return int(env)
+            cap, source = int(env), "EGALPOF_CAP"
         except ValueError:
             raise ParseError(f"EGALPOF_CAP must be an integer, got {env!r}")
-    return DEFAULT_ENUMERATION_CAP
+    if cap is None:
+        return DEFAULT_ENUMERATION_CAP
+    if cap < 1:
+        raise ParamOutOfRange(f"{source} must be at least 1, got {cap}")
+    return cap
 
 
 def _cmd_solve(args) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InfeasibleParams, ParamOutOfRange
-from .model import ONE, ZERO, Instance, as_rational, validate_instance
+from .model import ONE, ZERO, Instance, _check_list_size, as_rational, validate_instance
 
 
 def gen_thm1(n: int, m: int, eps=None) -> Instance:
@@ -25,6 +25,7 @@ def gen_thm1(n: int, m: int, eps=None) -> Instance:
         raise ParamOutOfRange(f"need n >= 3, got {n}")
     if m < n:
         raise ParamOutOfRange(f"need m >= n, got m={m}, n={n}")
+    _check_list_size("m", m)
     eps = as_rational(eps) if eps is not None else Fraction(1, 10 * m)
     if eps <= 0:
         raise ParamOutOfRange("eps must be positive")
@@ -114,6 +115,7 @@ def pad_instance(inst: Instance, k: int) -> Instance:
         raise ParamOutOfRange(f"need k >= 0, got {k}")
     if k == 0:
         return inst
+    _check_list_size("m + k", inst.m + k)
     rows = [list(row) + [ZERO] * k for row in inst.u]
     for i in range(k):
         row = [ZERO] * (inst.m + k)

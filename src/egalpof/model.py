@@ -7,6 +7,7 @@ public API.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
@@ -17,6 +18,7 @@ from .errors import (
     BudgetExceeded,
     GoodOutOfRange,
     NegativeUtility,
+    ParamOutOfRange,
     RowSumNotOne,
     TooFewAgents,
     ZeroRow,
@@ -28,6 +30,12 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
+
+
+def _check_list_size(name: str, size: int) -> None:
+    """Reject a length no Python list can have, before anything allocates."""
+    if size > sys.maxsize:
+        raise ParamOutOfRange(f"need {name} <= {sys.maxsize}, got {size}")
 
 
 def as_rational(value) -> Fraction:

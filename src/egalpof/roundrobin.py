@@ -102,8 +102,8 @@ def run_round_robin(inst: Instance, sched: RRSchedule) -> RRTrace:
     return RRTrace(tuple(picks), Allocation(inst.n, tuple(owner)))
 
 
-# State keys for layered_rr_search, whose states are (pickers, owner, free,
-# util). Equal keys must mean equal completions, so a key keeps the pickers.
+# State keys for layered_rr_search, whose states are (plan, owner, free,
+# util). Equal keys must mean equal completions, so a key keeps the plan.
 BY_OWNER = itemgetter(0, 1)
 BY_FREE_AND_UTILITIES = itemgetter(0, 2, 3)
 
@@ -117,37 +117,54 @@ def layered_rr_search(
     """The final (owner, per-agent scaled utilities) states of round-robin,
     built one pick per layer.
 
-    A state is a tuple (pickers, owner, free, util): the agents that have
-    picked in the first round, the partial owner vector (0 = still free),
-    the bitmask of free 0-based goods and the scaled utilities. The pickers
-    are kept in order when m > n and as a sorted set when m <= n, where
-    there is only one round. In the first round the next picker is any
-    agent that has not picked yet; later rounds repeat the first round's
-    order. A state extends by every free good tied for the picker's top
-    utility, or with `target` only by those the picker owns in `target`.
-    Each layer keeps one state per `key(state)`, the one with the
-    lexicographically smallest owner vector; states with equal keys must
-    have the same completions (`BY_OWNER`, `BY_FREE_AND_UTILITIES`). `cap`
-    bounds the keyed states summed over the layers; BudgetExceeded fires at
-    the first one over it.
+    A state is a tuple (plan, owner, free, util): the part of the agent
+    ordering that the rest of the run depends on, the partial owner vector
+    (0 = still free), the bitmask of free 0-based goods and the scaled
+    utilities. Of the first-round pickers, the first `again` pick again:
+    min(n, m - n), or none when m <= n. During the first round the plan is
+    the agents that have picked, the first `again` in pick order and the
+    rest sorted, and the next picker is any agent not in it. From the first
+    round's last pick on, the plan is the next min(n, picks left) pickers:
+    the picker is `plan[0]` and the plan rotates by one, so every final
+    plan is (). States thus merge once their futures agree; when m >= 2n
+    the middle rounds still carry the whole first-round order. A state
+    extends by every free good tied for the picker's top utility, or with
+    `target` only by those the picker owns in `target`. Each layer keeps
+    one state per `key(state)`, the one with the lexicographically smallest
+    owner vector; states with equal keys must have the same completions
+    (`BY_OWNER`, `BY_FREE_AND_UTILITIES`). `cap` bounds the keyed states
+    summed over the layers; BudgetExceeded fires at the first one over it.
     """
     _, rows = scaled_rows(inst)
     n, m = inst.n, inst.m
     agents = inst.agents()
+    again = min(n, max(m - n, 0))
     # each agent's 0-based goods, most valuable first
     ranked = [[g - 1 for g in priority_order(inst, i)] for i in agents]
+
+    def moves(plan: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The (picker, next plan) pairs of pick k from `plan`."""
+        if k >= n:
+            return [(plan[0], (plan[1:] + plan[:1])[: m - k - 1])]
+        pairs = []
+        for a in agents:
+            if a not in plan:
+                picked = plan + (a,)
+                # after the first round's last pick only those who pick again stay
+                rest = () if k == min(n, m) - 1 else tuple(sorted(picked[again:]))
+                pairs.append((a, picked[:again] + rest))
+        return pairs
+
     layer = {None: ((), (0,) * m, (1 << m) - 1, (0,) * n)}
     states = 0
     for k in range(m):
         after: dict[Hashable, tuple] = {}
-        for pickers, owner, free, util in layer.values():
-            if k >= n:
-                moves = ((pickers[k % n], pickers),)
-            elif m > n:
-                moves = [(a, pickers + (a,)) for a in agents if a not in pickers]
-            else:
-                moves = [(a, tuple(sorted(pickers + (a,)))) for a in agents if a not in pickers]
-            for agent, after_pick in moves:
+        # one list per plan, so the states of a plan share their next plans
+        moves_of: dict[tuple, list] = {}
+        for plan, owner, free, util in layer.values():
+            if plan not in moves_of:
+                moves_of[plan] = moves(plan, k)
+            for agent, next_plan in moves_of[plan]:
                 row = rows[agent - 1]
                 top = None
                 for g in ranked[agent - 1]:
@@ -161,7 +178,7 @@ def layered_rr_search(
                     if target is not None and target[g] != agent:
                         continue
                     child = owner[:g] + (agent,) + owner[g + 1 :]
-                    new = (after_pick, child, free ^ 1 << g, gained)
+                    new = (next_plan, child, free ^ 1 << g, gained)
                     held = after.setdefault(key(new), new)
                     if held is new:
                         states += 1
@@ -179,12 +196,13 @@ def enumerate_rr_allocations(
     """Every allocation some (ordering, tiebreak) pair can produce, in
     lexicographic owner order.
 
-    Runs `layered_rr_search` keyed by the owner vector. When m <= n the
-    states of all orderings merge, so on the all-tied 6x6 instance the
-    search holds 13,326 states for 720 outcomes. `cap` bounds those states.
+    Runs `layered_rr_search` keyed by the owner vector. States merge once
+    their plans agree, so on the all-tied 6x6 instance the search holds
+    13,326 states for 720 outcomes. Every final plan is (), so the final
+    states are the outcomes. `cap` bounds those states.
     """
     final = layered_rr_search(inst, BY_OWNER, cap)
-    return [Allocation(inst.n, o) for o in sorted({owner for owner, _ in final})]
+    return [Allocation(inst.n, owner) for owner, _ in sorted(final)]
 
 
 def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:

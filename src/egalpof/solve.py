@@ -44,8 +44,8 @@ class SolveResult:
     """Exact optimum, its lexicographically smallest witness, and `explored`:
     the candidates the solve loop received. These are the allocations the
     branch-and-bound search reached, or for round-robin the final states of
-    the layered search, one per pair of first-round pickers and utilities
-    that some round-robin run reaches."""
+    the layered search, one per distinct utility vector that some
+    round-robin run reaches."""
 
     value: Fraction
     witness: Allocation
@@ -92,7 +92,7 @@ def max_welfare(
     lex-first optimum. The key is the objective, or the (filter welfare,
     objective) pair for the welfare-maximizer filters. For round-robin the
     stream is the sorted final states of `layered_rr_search` keyed by
-    pickers, free goods and utilities: each key keeps the lex-smallest
+    plan, free goods and utilities: each key keeps the lex-smallest
     owner vector, and states with the same key have the same completions,
     so the optimum and its lex-first witness survive the merging. Otherwise
     the stream is a branch-and-bound search that skips a prefix once a

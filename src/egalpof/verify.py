@@ -20,6 +20,7 @@ from .model import (
     Allocation,
     ExtendedValue,
     Instance,
+    _check_list_size,
     agent_utilities,
     egalitarian_welfare,
     extended_ratio,
@@ -262,6 +263,8 @@ def run_suite(
         raise ParamOutOfRange(
             f"need m_max >= 1 and trials >= 1, got m_max={m_max}, trials={trials}"
         )
+    _check_list_size("n", n)
+    _check_list_size("m_max", m_max)
     # The corpus stream only ever draws instances, so every suite sees the
     # same instances for the same (n, m_max, trials, seed); per-trial
     # sampling inside checks uses its own derived stream.

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
+import os
+import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egalpof.cli import main
+
+# a size no Python list can have: it must fail before anything allocates
+HUGE = str(sys.maxsize + 1)
 
 
 @pytest.fixture
@@ -60,8 +70,8 @@ class TestSolve:
         assert main(["solve", *argv]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["witness"] == [2] * (m // 2) + [1] * (m // 2)
-        # one final state per first-round order, both the same outcome
-        assert payload["explored"] == 2
+        # both first-round orders reach the same outcome: one final state
+        assert payload["explored"] == 1
         # pof also needs the unrestricted optimum, whose search over 2**1100
         # allocations passes the default cap
         assert main(["pof", "--instance", str(path), "--property", "rr"]) == 2
@@ -202,3 +212,126 @@ class TestErrorPaths:
 
     def test_unknown_objective(self, thm4_file):
         assert main(["solve", "--instance", str(thm4_file), "--objective", "zz"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--family", "thm1", "--n", "3", "--m", HUGE],
+            ["generate", "--family", "thm1", "--n", HUGE, "--m", HUGE],
+            ["generate", "--family", "thm1", "--n", "3", "--m", "5", "--pad", HUGE],
+            ["verify", "--suite", "facts", "--n", HUGE, "--m-max", "3", "--trials", "1", "--seed", "1"],
+            ["verify", "--suite", "facts", "--n", "2", "--m-max", HUGE, "--trials", "1", "--seed", "1"],
+        ],
+        ids=["generate-m", "generate-n-and-m", "generate-pad", "verify-n", "verify-m-max"],
+    )
+    def test_huge_sizes(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.json"
+        if argv[0] == "generate":
+            argv = [*argv, "--out", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, source, value",
+        [(c, "--cap", v) for c in ("solve", "pof") for v in ("0", "-3")]
+        + [(c, "EGALPOF_CAP", v) for c in ("solve", "pof", "verify") for v in ("0", "-3")],
+    )
+    def test_non_positive_cap(self, thm4_file, capsys, monkeypatch, command, source, value):
+        argv = {
+            "solve": ["solve", "--instance", str(thm4_file), "--objective", "ew"],
+            "pof": ["pof", "--instance", str(thm4_file), "--property", "ef1"],
+            "verify": ["verify", "--suite", "facts", "--n", "2", "--m-max", "2",
+                       "--trials", "1", "--seed", "1"],
+        }[command]
+        if source == "EGALPOF_CAP":
+            monkeypatch.setenv(source, value)
+        else:
+            argv += [source, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {source} must be at least 1, got {value}\n"
+
+
+VALID_2X3 = b'{"n": 2, "m": 3, "utilities": [["1/2", "1/4", "1/4"], ["1/3", "1/3", "1/3"]]}'
+
+
+@st.composite
+def mutated_instances(draw):
+    """A valid 2x3 instance file with a few bytes inserted, deleted or replaced."""
+    data = bytearray(VALID_2X3)
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        byte = draw(st.integers(0, 255))
+        if op == "insert":
+            data.insert(at, byte)
+        elif at < len(data):
+            if op == "delete":
+                del data[at]
+            else:
+                data[at] = byte
+    return bytes(data)
+
+
+def sizes(top):
+    """Small sizes or sizes past every list length, so no example allocates
+    much or searches long."""
+    return st.one_of(st.integers(-2, top), st.integers(sys.maxsize + 1, 4 * sys.maxsize)).map(str)
+
+
+RATIONALS = st.sampled_from(["1/100", "1/10", "3/2", "2/5", "0", "-1", "1/0", "x", ""])
+
+
+def _options(draw, options):
+    """Each (flag, strategy) pair, drawn or left out."""
+    argv = []
+    for flag, values in options:
+        if draw(st.booleans()):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@st.composite
+def cli_argvs(draw, instance, out):
+    command = draw(st.sampled_from(["solve", "pof", "generate", "verify"]))
+    caps = st.integers(-3, 10**4).map(str)
+    props = st.sampled_from(["none", "ef1", "ba", "rr", "muw", "mnw", "zz"])
+    if command == "solve":
+        objective = draw(st.sampled_from(["ew", "uw", "nw", "zz"]))
+        return ["solve", "--instance", instance, "--objective", objective,
+                *_options(draw, [("--property", props), ("--cap", caps)])]
+    if command == "pof":
+        return ["pof", "--instance", instance, "--property", draw(props),
+                *_options(draw, [("--cap", caps)])]
+    if command == "generate":
+        family = draw(st.sampled_from(["thm1", "thm4", "thm5", "thm7", "thm9"]))
+        options = [("--n", sizes(6)), ("--m", sizes(6)), ("--eps", RATIONALS),
+                   ("--x", RATIONALS), ("--y", RATIONALS), ("--pad", sizes(6))]
+        return ["generate", "--family", family, *_options(draw, options), "--out", out]
+    # n = m = 6 lemmas take seconds per trial, and a huge trial count is a
+    # long run, not an error
+    suite = draw(st.sampled_from(["bounds", "facts", "lemmas", "zz"]))
+    values = [draw(sizes(4)), draw(sizes(4)), str(draw(st.integers(-2, 3))), str(draw(st.integers(-5, 5)))]
+    flags = ["--n", "--m-max", "--trials", "--seed"]
+    return ["verify", "--suite", suite, *[x for pair in zip(flags, values) for x in pair]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_keeps_exit_contract(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    instance, out = tmp / "inst.json", tmp / "out.json"
+    instance.write_bytes(data.draw(mutated_instances()))
+    argv = data.draw(cli_argvs(str(instance), str(out)))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    # the cap comes only from the drawn arguments
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        os.environ.pop("EGALPOF_CAP", None)
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert stdout.getvalue() == ""
+        assert sum("error:" in line for line in stderr.getvalue().splitlines()) == 1

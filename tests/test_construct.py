@@ -79,6 +79,11 @@ class TestGenThm1:
                 pof = price_of_fairness(gen_thm1(3, m, eps), PropertyFilter.ROUND_ROBIN)
                 assert pof == F(m - 2, (m + 1) // 3)
 
+    @pytest.mark.parametrize("m, pof", [(14, F(12, 5)), (15, F(13, 5)), (16, F(14, 5))])
+    def test_pof_rr_reach(self, m, pof):
+        # 3**m allocations are over the cap; the round-robin search is not
+        assert price_of_fairness(gen_thm1(3, m), PropertyFilter.ROUND_ROBIN) == pof
+
 
 class TestGenThm4:
     def test_rows(self):

@@ -169,16 +169,9 @@ def test_filter_set_containment(inst):
 @given(instances(max_m=4))
 def test_explored_counts_examined_candidates(inst):
     # the pruned search examines at least one and at most every owner
-    # vector; rr examines the keyed final states of its layered search, one
-    # per pair of first-round pickers (in order when m > n, as a set
-    # otherwise) and utilities that some schedule reaches
-    final = {
-        (
-            ordering if inst.m > inst.n else frozenset(ordering[: inst.m]),
-            agent_utilities(inst, alloc),
-        )
-        for ordering, alloc in every_schedule_outcome(inst)
-    }
+    # vector; rr examines the final states of its layered search, one per
+    # utility vector that some schedule reaches
+    final = {agent_utilities(inst, alloc) for _, alloc in every_schedule_outcome(inst)}
     for objective in Objective:
         for prop in PropertyFilter:
             explored = max_welfare(inst, objective, prop).explored

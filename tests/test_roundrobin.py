@@ -93,6 +93,13 @@ class TestEnumerateRR:
         assert len(outcomes) == 720
         assert all(sorted(a.owner) == list(range(1, 7)) for a in outcomes)
 
+    def test_orderings_merge_once_futures_agree(self):
+        # m = 7 > n = 5: after the first round only the order of the two
+        # agents that pick again matters, so the search holds 177,275
+        # states; keeping every first-round order apart needs 870,275
+        inst = validate_instance([[F(1, 7)] * 7] * 5)
+        assert len(enumerate_rr_allocations(inst, cap=200_000)) == 12_600
+
     def test_targeted_is_rr(self):
         # full enumeration of this instance needs 130,921 states; the
         # targeted search only follows picks that match the allocation

@@ -124,6 +124,14 @@ class TestMaxWelfare:
         tied = validate_instance([[F(1, 20)] * 20, [F(1, 20)] * 20])
         assert max_welfare(tied, Objective.UTILITARIAN).explored == 2
 
+    def test_round_robin_explored_counts_utility_vectors(self):
+        # all tied: every run of 4 agents over 8 goods gives each agent 1/4,
+        # one utility vector, so the search ends in one final state
+        inst = validate_instance([[F(1, 8)] * 8] * 4)
+        result = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.ROUND_ROBIN)
+        assert (result.value, result.witness.owner) == (F(1, 4), (1, 1, 2, 2, 3, 3, 4, 4))
+        assert result.explored == 1
+
     @pytest.mark.parametrize(
         "prop, pof", [(PropertyFilter.EF1, F(5, 3)), (PropertyFilter.BALANCED, F(5, 2))]
     )
