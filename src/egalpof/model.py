@@ -309,7 +309,7 @@ def scaled_utilities(
 def iter_allocations_scaled(
     inst: Instance,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    ceiling: Callable[[list[int], int], object] | None = None,
+    ceiling: Callable[[list[int], list[int], int], object] | None = None,
     floor: list | None = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield (owner, per-agent scaled utility) in lexicographic order.
@@ -324,10 +324,12 @@ def iter_allocations_scaled(
     With `ceiling` the enumeration is a branch-and-bound search. `floor` is
     a one-element list in which the consumer keeps its incumbent's
     comparison key, None until it has one. While floor[0] is not None,
-    `ceiling(util, k)` is asked about every prefix owner[:k] with 0 < k < m
-    that the loop enters, util being that prefix's (valid only during the
-    call). A prefix whose ceiling is at or below floor[0] is skipped with
-    every allocation that extends it.
+    `ceiling(owner, util, k)` is asked about every prefix owner[:k] with
+    0 < k < m that the loop enters, util being that prefix's utilities
+    (both valid only during the call). A prefix whose ceiling is at or below
+    floor[0] is skipped with every allocation that extends it. Prefixes are
+    asked in depth-first order, so a floor set from the start, below every
+    ceiling, has owner[:k - 1] asked and kept just before each owner[:k].
 
     A search with n**m <= cap is never refused. A larger one raises
     BudgetExceeded(n**m, cap) up front without `ceiling`; with it, states
@@ -353,7 +355,7 @@ def iter_allocations_scaled(
                 yield owner, util
                 entered = False
             else:
-                entered = not ceiling(util, k) <= floor[0]
+                entered = not ceiling(owner, util, k) <= floor[0]
         if entered:  # extend: good k+1 goes to agent 1
             owner[k] = 1
             util[0] += rows[0][k]

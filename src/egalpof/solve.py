@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from operator import add
+from operator import add, gt, sub
 from typing import Callable, Iterator
 
 from .model import (
@@ -22,6 +22,8 @@ from .model import (
 )
 from .properties import is_balanced, is_ef1
 from .roundrobin import BY_FREE_AND_UTILITIES, layered_rr_search
+
+Ceiling = Callable[[list[int], list[int], int], object]
 
 
 class Objective(str, Enum):
@@ -60,22 +62,98 @@ def enumerate_allocations(
         yield Allocation(inst.n, tuple(owner))
 
 
-def _ceilings(rows: tuple[tuple[int, ...], ...]) -> dict[Callable, Callable[[list[int], int], int]]:
-    """`ceilings[f](p, k)` bounds f over every allocation whose goods 1..k give
-    the scaled utilities `p` from above: f of every agent taking all remaining
-    goods (min, prod), or f of an equal split of the prefix total plus the
+def _ceilings(rows: tuple[tuple[int, ...], ...]) -> tuple[list, dict[Callable, Ceiling]]:
+    """`rest[k][i]`, agent i+1's value for goods k+1..m, and `ceilings[f]`,
+    which bounds f from above over every allocation whose goods 1..k give
+    the scaled utilities `p`: f of every agent taking all remaining goods
+    (min, prod), or f of an equal split of the prefix total plus the
     remaining goods' top values (sum, where it is exact; prod)."""
     n = len(rows)
     suffix_sums = lambda values: list(accumulate(reversed(values), initial=0))[::-1]
-    # rest[k][i]: agent i+1's value for goods k+1..m; top[k]: their top values
     rest = list(zip(*map(suffix_sums, rows)))
     top = suffix_sums(list(map(max, zip(*rows))))
-    return {
-        sum: lambda p, k: sum(p) + top[k],
-        min: lambda p, k: min(map(add, p, rest[k])),
+    return rest, {
+        sum: lambda _, p, k: sum(p) + top[k],
+        min: lambda _, p, k: min(map(add, p, rest[k])),
         # no split beats an equal one for Schur-concave prod; // is safe as products are integers
-        prod: lambda p, k: min(prod(map(add, p, rest[k])), (sum(p) + top[k]) ** n // n**n),
+        prod: lambda _, p, k: min(prod(map(add, p, rest[k])), (sum(p) + top[k]) ** n // n**n),
     }
+
+
+# The filter ceilings below return -1, under every key, for a prefix that no
+# admissible allocation extends. They keep one row of state per depth and
+# read the parent's: the search asks about every prefix it enters, in
+# depth-first order, once max_welfare starts the floor at -1, so owner[:k-1]
+# was asked just before owner[:k].
+
+
+def _balanced_ceiling(
+    rows: tuple[tuple[int, ...], ...], ceiling: Ceiling, egalitarian: bool
+) -> Ceiling:
+    """Balanced allocations give every agent at most q = ceil(m/n) goods,
+    and q to at most m mod n agents when n does not divide m; a prefix
+    within both limits has a balanced completion. For the egalitarian key
+    agent i, holding c_i goods, gains at most its q - c_i best remaining
+    values; other keys keep `ceiling`."""
+    n, m = len(rows), len(rows[0])
+    q = -(-m // n)
+    full = m % n or n  # agents that may end with q goods
+    counts = [[0] * n for _ in range(m)]  # counts[k][i]: agent i+1's goods in owner[:k]
+    at_q = [0] * m  # agents holding q goods in owner[:k]
+    if egalitarian:
+        # room[k][i][c]: the sum of agent i+1's q - c best values among goods k+1..m
+        top_q = lambda values: (sorted(values, reverse=True) + [0] * q)[:q]
+        room = [[list(accumulate(top_q(row[k:]), initial=0))[::-1] for row in rows] for k in range(m)]
+
+    def balanced(owner, util, k):
+        held = counts[k]
+        held[:] = counts[k - 1]
+        a = owner[k - 1] - 1
+        held[a] += 1
+        at_q[k] = at_q[k - 1] + (held[a] == q)
+        if held[a] > q or at_q[k] > full:
+            return -1
+        if egalitarian:
+            return min(p + r[c] for p, r, c in zip(util, room[k], held))
+        return ceiling(owner, util, k)
+
+    return balanced
+
+
+def _ef1_ceiling(
+    rows: tuple[tuple[int, ...], ...], rest: list, ceiling: Ceiling, egalitarian: bool, floor: list
+) -> Ceiling:
+    """A pair (i, j) with u_i(A_j) - max_{g in A_j} u_i(g) > u_i(A_i) +
+    u_i(goods k+1..m) rules out every completion: the left side never falls
+    as A_j grows, and the right side bounds agent i's final utility. The
+    egalitarian key's ceiling is the least right side; other keys keep
+    `ceiling`.
+
+    `bundles[k]` holds, for bundle j of owner[:k], every agent's value for
+    it at j and for its best good at n + j; the new good changes only its
+    owner's two entries. `envy[k][i]` is agent i's largest left side."""
+    n, m = len(rows), len(rows[0])
+    goods = list(zip(*rows))  # goods[g][i]: agent i+1's value for good g+1
+    bundles = [[(0,) * n] * (2 * n) for _ in range(m)]
+    envy = [(0,) * n] * m
+
+    def ef1(owner, util, k):
+        right = tuple(map(add, util, rest[k]))
+        bound = min(right) if egalitarian else ceiling(owner, util, k)
+        if bound <= floor[0]:
+            return bound  # skipped: no extension reads this depth's rows
+        a = owner[k - 1] - 1
+        good = goods[k - 1]
+        held = bundles[k]
+        held[:] = bundles[k - 1]
+        worth = held[a] = tuple(map(add, held[a], good))
+        best = held[n + a] = tuple(map(max, held[n + a], good))
+        # agent a's entry also counts its own bundle, which is at most
+        # util[a], a value that never falls, so it rejects nothing
+        left = envy[k] = tuple(map(max, envy[k - 1], map(sub, worth, best)))
+        return -1 if any(map(gt, left, right)) else bound
+
+    return ef1
 
 
 def max_welfare(
@@ -97,9 +175,12 @@ def max_welfare(
     so the optimum and its lex-first witness survive the merging. Otherwise
     the stream is a branch-and-bound search that skips a prefix once a
     ceiling on the key over its completions is at or below the incumbent's,
-    so nothing skipped could improve. EF1 and balancedness are checked
-    only on improvements. `cap` bounds every search. `pruned` is accepted
-    and ignored: every solve is pruned.
+    so nothing skipped could improve. For EF1 and balancedness the floor
+    starts at -1, so every prefix is asked, and the filter's ceiling also
+    skips each prefix that no admissible allocation extends; the filter
+    itself is checked on improvements, as a prefix does not show the last
+    good. `cap` bounds every search. `pruned` is accepted and ignored:
+    every solve is pruned.
     """
     objective = Objective(objective)
     prop = PropertyFilter(prop)
@@ -112,17 +193,21 @@ def max_welfare(
     if prop is PropertyFilter.ROUND_ROBIN:
         candidates = sorted(layered_rr_search(inst, BY_FREE_AND_UTILITIES, cap))
     else:
-        ceilings = _ceilings(rows)
+        rest, ceilings = _ceilings(rows)
         ceiling = ceilings[value]
         if prop in (PropertyFilter.MAX_UTILITARIAN, PropertyFilter.MAX_NASH):
             welfare = sum if prop is PropertyFilter.MAX_UTILITARIAN else prod
             key = lambda util: (welfare(util), value(util))
             first, then = ceilings[welfare], ceiling
-            ceiling = lambda prefix, k: (first(prefix, k), then(prefix, k))
+            ceiling = lambda owner, prefix, k: (first(owner, prefix, k), then(owner, prefix, k))
         elif prop is PropertyFilter.EF1:
             accept = lambda owner: is_ef1(inst, Allocation(n, owner))
+            ceiling = _ef1_ceiling(rows, rest, ceiling, value is min, floor)
+            floor[0] = -1  # under every key, so every prefix entered is asked
         elif prop is PropertyFilter.BALANCED:
             accept = lambda owner: is_balanced(Allocation(n, owner))
+            ceiling = _balanced_ceiling(rows, ceiling, value is min)
+            floor[0] = -1
         candidates = iter_allocations_scaled(inst, cap, ceiling, floor)
 
     best = witness = None

@@ -53,9 +53,9 @@ def every_schedule_outcome(inst):
             yield ordering, trace.allocation
 
 
-def exhaustive_optima(inst):
+def exhaustive_optima(inst, props=tuple(PropertyFilter)):
     """{(objective, filter): (value, lex-first witness)} for every objective
-    and every filter."""
+    and every filter in `props`."""
     allocs = list(enumerate_allocations(inst))
     welfare = {obj: [f(inst, a) for a in allocs] for obj, f in WELFARE.items()}
 
@@ -63,17 +63,21 @@ def exhaustive_optima(inst):
         top = max(values)
         return [v == top for v in values]
 
-    rr_outcomes = {alloc for _, alloc in every_schedule_outcome(inst)}
+    def round_robin():
+        outcomes = {alloc for _, alloc in every_schedule_outcome(inst)}
+        return [a in outcomes for a in allocs]
+
     admitted = {
-        PropertyFilter.NONE: [True] * len(allocs),
-        PropertyFilter.EF1: [is_ef1(inst, a) for a in allocs],
-        PropertyFilter.BALANCED: [is_balanced(a) for a in allocs],
-        PropertyFilter.MAX_UTILITARIAN: argmax(welfare[Objective.UTILITARIAN]),
-        PropertyFilter.MAX_NASH: argmax(welfare[Objective.NASH]),
-        PropertyFilter.ROUND_ROBIN: [a in rr_outcomes for a in allocs],
+        PropertyFilter.NONE: lambda: [True] * len(allocs),
+        PropertyFilter.EF1: lambda: [is_ef1(inst, a) for a in allocs],
+        PropertyFilter.BALANCED: lambda: [is_balanced(a) for a in allocs],
+        PropertyFilter.MAX_UTILITARIAN: lambda: argmax(welfare[Objective.UTILITARIAN]),
+        PropertyFilter.MAX_NASH: lambda: argmax(welfare[Objective.NASH]),
+        PropertyFilter.ROUND_ROBIN: round_robin,
     }
     optima = {}
-    for prop, keep in admitted.items():
+    for prop in props:
+        keep = admitted[prop]()
         for obj, values in welfare.items():
             kept = [(v, a) for v, a, k in zip(values, allocs, keep) if k]
             best = max(v for v, _ in kept)
@@ -81,8 +85,9 @@ def exhaustive_optima(inst):
     return optima
 
 
-def assert_solver_matches_oracle(inst):
-    """`max_welfare` agrees with the oracle on value and witness."""
-    for (objective, prop), expected in exhaustive_optima(inst).items():
+def assert_solver_matches_oracle(inst, props=tuple(PropertyFilter)):
+    """`max_welfare` agrees with the oracle on value and witness for every
+    filter in `props`."""
+    for (objective, prop), expected in exhaustive_optima(inst, props).items():
         result = max_welfare(inst, objective, prop)
         assert (result.value, result.witness) == expected, (objective, prop)

@@ -84,6 +84,23 @@ class TestGenThm1:
         # 3**m allocations are over the cap; the round-robin search is not
         assert price_of_fairness(gen_thm1(3, m), PropertyFilter.ROUND_ROBIN) == pof
 
+    @pytest.mark.parametrize("m", range(14, 21))
+    def test_pof_ba_reach(self, m):
+        # 3**m allocations are over the cap; the search cut to prefixes with
+        # a balanced completion is not
+        pof = price_of_fairness(gen_thm1(3, m), PropertyFilter.BALANCED)
+        assert pof == F(m - 2, ceil(F(m, 3)))
+
+    def test_pof_ef1_reach(self):
+        # agent 3 may hold at most one good more than agent 2
+        m = 15
+        pof = price_of_fairness(gen_thm1(3, m), PropertyFilter.EF1)
+        assert pof == F(m - 2, ceil(F(m - 1, 2))) == F(13, 7)
+
+    @pytest.mark.parametrize("m, pof", [(11, F(8, 3)), (12, F(3))])
+    def test_n4_pof_ba_reach(self, m, pof):
+        assert price_of_fairness(gen_thm1(4, m), PropertyFilter.BALANCED) == pof
+
 
 class TestGenThm4:
     def test_rows(self):

@@ -206,7 +206,7 @@ def test_iter_allocations_scaled_prune_skips_extensions():
     inst = validate_instance([[F(1, 5)] * 5] * 3)  # every scaled entry is 1
     asked = []
 
-    def ceiling(prefix_util, k):
+    def ceiling(owner, prefix_util, k):
         asked.append(k)
         assert sum(prefix_util) == k  # goods 1..k only
         return -prefix_util[1]  # at or below -2 once agent 2 holds two goods
@@ -225,7 +225,7 @@ def test_iter_allocations_scaled_prune_skips_extensions():
 def test_iter_allocations_scaled_unbeatable_floor_yields_nothing():
     inst = validate_instance([[F(1, 5)] * 5] * 3)
     # a floor set from the start is asked about the first path's prefixes too
-    assert list(iter_allocations_scaled(inst, ceiling=lambda p, k: 0, floor=[0])) == []
+    assert list(iter_allocations_scaled(inst, ceiling=lambda o, p, k: 0, floor=[0])) == []
 
 
 def test_iter_allocations_scaled_no_goods_is_one_empty_allocation():
@@ -238,7 +238,7 @@ def test_iter_allocations_scaled_no_goods_is_one_empty_allocation():
 
 def test_iter_allocations_scaled_counts_states_as_it_runs():
     inst = gen_thm5(F(3, 2), F(2, 5))  # n=2, m=3
-    never = lambda prefix_util, k: 1  # above the floor, so nothing is skipped
+    never = lambda owner, prefix_util, k: 1  # above the floor, so nothing is skipped
     search = lambda cap: iter_allocations_scaled(inst, cap, never, [0])
 
     # 8 allocations and 6 prefixes asked about, but 2**3 fits the cap as a

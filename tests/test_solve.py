@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -14,10 +15,14 @@ from egalpof import (
     gen_thm1,
     gen_thm5,
     gen_thm7,
+    is_balanced,
+    is_ef1,
     max_welfare,
     price_of_fairness,
     validate_instance,
 )
+from egalpof.model import iter_allocations_scaled, scaled_rows
+from egalpof.solve import _balanced_ceiling, _ceilings, _ef1_ceiling
 from egalpof.verify import random_instance
 
 from _oracle import assert_solver_matches_oracle
@@ -114,11 +119,16 @@ class TestMaxWelfare:
         assert (err.value.needed, err.value.cap) == (10**4 + 1, 10**4)
 
     def test_never_refused_within_allocation_count(self):
-        # 2**10 allocations fit the cap; the search asks about 753 prefixes
-        # and yields 512 allocations, 1,265 states, and is still not refused
+        # 2**10 allocations fit the cap; the search asks about 18 prefixes
+        # and yields 2 allocations
         inst = validate_instance([[F(1, 10)] * 10, [F(0)] * 9 + [F(1)]])
         result = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.BALANCED, cap=2**10)
         assert (result.value, result.witness.owner) == (F(1, 2), (1,) * 5 + (2,) * 5)
+        # all tied, 2**7 allocations: the search asks about 102 prefixes and
+        # yields 42 allocations, 144 states, and is still not refused
+        tied = validate_instance([[F(1, 7)] * 7] * 2)
+        result = max_welfare(tied, Objective.EGALITARIAN, PropertyFilter.BALANCED, cap=2**7)
+        assert (result.value, result.witness.owner) == (F(3, 7), (1,) * 4 + (2,) * 3)
         # every allocation is worth 1, so the sum's ceiling stops the search
         # at the second allocation
         tied = validate_instance([[F(1, 20)] * 20, [F(1, 20)] * 20])
@@ -141,6 +151,76 @@ class TestMaxWelfare:
         mew = max_welfare(inst, Objective.EGALITARIAN, cap=200_000)
         mew_p = max_welfare(inst, Objective.EGALITARIAN, prop, cap=200_000)
         assert extended_ratio(mew.value, mew_p.value) == pof
+
+
+def _tied(n, m):
+    return validate_instance([[F(1, m)] * m] * n)
+
+
+class TestFilterPrunes:
+    """Balanced and EF1 prefixes are cut inside the branch-and-bound search."""
+
+    def test_matches_oracle_past_hypothesis_sizes(self):
+        rng = random.Random(17)
+        draws = [random_instance(rng, 2, rng.randint(5, 8)) for _ in range(8)]
+        draws += [random_instance(rng, 3, rng.randint(5, 7)) for _ in range(6)]
+        draws += [_tied(n, m) for n, m_max in ((2, 8), (3, 7), (4, 6)) for m in range(1, m_max + 1)]
+        for inst in draws:
+            assert_solver_matches_oracle(inst, (PropertyFilter.BALANCED, PropertyFilter.EF1))
+
+    def test_explored_counts(self):
+        # allocations the search reaches on thm1 n=3 m=11 for the three
+        # objectives, pinned so a change to the cuts shows; the objective's
+        # ceiling alone reaches 21,723, 44,046 and 21,444 (ba) and 10,683,
+        # 11,232 and 4,707 (ef1)
+        inst = gen_thm1(3, 11)
+        explored = {
+            prop: [max_welfare(inst, objective, prop).explored for objective in Objective]
+            for prop in (PropertyFilter.BALANCED, PropertyFilter.EF1)
+        }
+        assert explored == {
+            PropertyFilter.BALANCED: [6, 18_900, 9_729],
+            PropertyFilter.EF1: [2_487, 2_745, 2_430],
+        }
+
+    @pytest.mark.parametrize("prop", [PropertyFilter.BALANCED, PropertyFilter.EF1])
+    def test_rejected_prefix_has_no_admissible_completion(self, prop):
+        admissible = {
+            PropertyFilter.BALANCED: lambda inst, alloc: is_balanced(alloc),
+            PropertyFilter.EF1: is_ef1,
+        }[prop]
+        rng = random.Random(23)
+        draws = [random_instance(rng, n, rng.randint(3, 6 if n == 2 else 5)) for n in (2, 3) * 10]
+        draws += [_tied(3, 5), gen_thm1(3, 6)]
+        cut = 0
+        for inst in draws:
+            n, m = inst.n, inst.m
+            _, rows = scaled_rows(inst)
+            rest, ceilings = _ceilings(rows)
+            for key in (min, sum):
+                floor = [-1]  # as max_welfare starts it: every prefix is asked
+                if prop is PropertyFilter.BALANCED:
+                    hook = _balanced_ceiling(rows, ceilings[key], key is min)
+                else:
+                    hook = _ef1_ceiling(rows, rest, ceilings[key], key is min, floor)
+                verdicts = []
+
+                def ask(owner, util, k):
+                    verdict = hook(owner, util, k)
+                    verdicts.append((tuple(owner[:k]), verdict == -1))
+                    return verdict
+
+                for _ in iter_allocations_scaled(inst, ceiling=ask, floor=floor):
+                    pass
+                for prefix, rejected in verdicts:
+                    completions = itertools.product(range(1, n + 1), repeat=m - len(prefix))
+                    some = any(admissible(inst, Allocation(n, prefix + c)) for c in completions)
+                    # the balanced cut is exact; the EF1 cut may keep a prefix
+                    # that no EF1 allocation extends
+                    assert not (rejected and some)
+                    assert rejected or some or prop is PropertyFilter.EF1
+                    cut += rejected
+        assert cut > 0
 
 
 class TestPriceOfFairness:
