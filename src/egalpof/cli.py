@@ -10,6 +10,7 @@ overrides the default search cap when --cap is not given.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -17,7 +18,7 @@ from pathlib import Path
 
 from .construct import gen_thm1, gen_thm4, gen_thm5, gen_thm7, pad_instance
 from .errors import CrossCheckError, EgalpofError, ParamOutOfRange, ParseError
-from .model import DEFAULT_ENUMERATION_CAP
+from .model import DEFAULT_ENUMERATION_CAP, _check_cells
 from .reports import build_report, render_csv, render_markdown
 from .serialize import load_instance, parse_rational, save_instance
 from .solve import Objective, PropertyFilter, max_welfare, price_of_fairness
@@ -30,6 +31,7 @@ _OBJECTIVES = {
 }
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one per process serves every main()
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egalpof",
@@ -124,7 +126,7 @@ def _cmd_pof(args) -> int:
     return 0
 
 
-def _generate_instance(args):
+def _generate_instance(args, cells):
     def require(*names):
         missing = [name for name in names if getattr(args, name) is None]
         if missing:
@@ -133,6 +135,7 @@ def _generate_instance(args):
 
     if args.family == "thm1":
         require("n", "m")
+        cells(args.n, args.m)
         eps = parse_rational(args.eps) if args.eps is not None else None
         return gen_thm1(args.n, args.m, eps)
     if args.family == "thm4":
@@ -146,7 +149,12 @@ def _generate_instance(args):
 
 
 def _cmd_generate(args) -> int:
-    inst = pad_instance(_generate_instance(args), args.pad)
+    # the padded shape is checked before a family instance or its padding is built
+    pad, cap = max(args.pad, 0), _resolve_cap(args)
+    cells = lambda n, m: _check_cells(n + pad, m + pad, cap)
+    inst = _generate_instance(args, cells)
+    cells(inst.n, inst.m)
+    inst = pad_instance(inst, args.pad)
     save_instance(inst, args.out)
     return 0
 

@@ -38,6 +38,13 @@ def _check_list_size(name: str, size: int) -> None:
         raise ParamOutOfRange(f"need {name} <= {sys.maxsize}, got {size}")
 
 
+def _check_cells(n: int, m: int, cap: int) -> None:
+    """Reject an n x m instance with more utility cells than `cap`, before
+    anything allocates."""
+    if n * m > cap:
+        raise ParamOutOfRange(f"need at most {cap} utility cells, got {n} x {m} = {n * m}")
+
+
 def as_rational(value) -> Fraction:
     """Convert ints, rational strings like "3/7" or Fractions; floats are rejected."""
     if isinstance(value, Fraction):
@@ -93,6 +100,17 @@ class Instance:
             for x in row:
                 scale = lcm(scale, x.denominator)
         return scale, tuple(tuple(int(x * scale) for x in row) for row in self.u)
+
+    @cached_property
+    def _twins(self) -> tuple[int | None, ...]:
+        # _twins[k]: the last good before good k+1 whose scaled column (every
+        # agent's value) equals good k+1's, 0-based, or None if there is none
+        last: dict[tuple[int, ...], int] = {}
+        twins = []
+        for k, column in enumerate(zip(*self._scaled[1])):
+            twins.append(last.get(column))
+            last[column] = k
+        return tuple(twins)
 
 
 @dataclass(frozen=True)
@@ -317,17 +335,29 @@ def iter_allocations_scaled(
     The yielded lists are reused between iterations; copy before storing.
 
     One depth-first loop walks the prefixes owner[:k]. It extends a prefix
-    by putting good k+1 on agent 1, or moves the prefix's last good to the
-    next agent and takes it off again after agent n. `util` always holds the
-    scaled utilities of the goods in the current prefix.
+    by putting good k+1 on its start agent, or moves the prefix's last good
+    to the next agent and takes it off again after agent n. `util` always
+    holds the scaled utilities of the goods in the current prefix.
 
-    With `ceiling` the enumeration is a branch-and-bound search. `floor` is
-    a one-element list in which the consumer keeps its incumbent's
+    Without `ceiling` every good starts at agent 1 and all n**m allocations
+    are yielded. With `ceiling` the enumeration is a search that yields one
+    canonical allocation per class of mirror allocations: goods with equal
+    columns (every agent values them alike) are identical, and within each
+    class of identical goods the owners never decrease, because a good
+    starts at the owner of the previous good with its column. Permuting
+    identical goods keeps every bundle's value and size for every agent,
+    and the lex-smallest allocation of each class is its canonical one, so
+    a search for the lex-first optimum of any such invariant key loses
+    neither the value nor the witness.
+
+    In that mode the enumeration is also a branch-and-bound search. `floor`
+    is a one-element list in which the consumer keeps its incumbent's
     comparison key, None until it has one. While floor[0] is not None,
     `ceiling(owner, util, k)` is asked about every prefix owner[:k] with
     0 < k < m that the loop enters, util being that prefix's utilities
     (both valid only during the call). A prefix whose ceiling is at or below
-    floor[0] is skipped with every allocation that extends it. Prefixes are
+    floor[0] is skipped with every allocation that extends it; a ceiling
+    over all its completions bounds the canonical ones too. Prefixes are
     asked in depth-first order, so a floor set from the start, below every
     ceiling, has owner[:k - 1] asked and kept just before each owner[:k].
 
@@ -341,6 +371,8 @@ def iter_allocations_scaled(
         raise BudgetExceeded(n**m, cap)
     limit = cap if n**m > cap else inf
     _, rows = scaled_rows(inst)
+    # good k+1 starts at agent 1, or at the owner of its previous twin
+    twins = inst._twins if ceiling is not None else (None,) * m
     owner = [0] * m
     util = [0] * n
     states = 0
@@ -356,9 +388,14 @@ def iter_allocations_scaled(
                 entered = False
             else:
                 entered = not ceiling(owner, util, k) <= floor[0]
-        if entered:  # extend: good k+1 goes to agent 1
-            owner[k] = 1
-            util[0] += rows[0][k]
+        if entered:  # extend: good k+1 goes to its start agent
+            t = twins[k]
+            if t is None:
+                owner[k] = 1
+                util[0] += rows[0][k]
+            else:
+                a = owner[k] = owner[t]
+                util[a - 1] += rows[a - 1][k]
             k += 1
             continue
         k -= 1  # good k+1 moves to the next agent, or is taken off after agent n

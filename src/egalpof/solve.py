@@ -44,10 +44,11 @@ class PropertyFilter(str, Enum):
 @dataclass(frozen=True)
 class SolveResult:
     """Exact optimum, its lexicographically smallest witness, and `explored`:
-    the candidates the solve loop received. These are the allocations the
-    branch-and-bound search reached, or for round-robin the final states of
-    the layered search, one per distinct utility vector that some
-    round-robin run reaches."""
+    the candidates the solve loop received. These are the canonical
+    allocations the branch-and-bound search reached, one per class of
+    allocations that differ only by permuting identical goods, or for
+    round-robin the final states of the layered search, one per distinct
+    utility vector that some round-robin run reaches."""
 
     value: Fraction
     witness: Allocation
@@ -173,7 +174,9 @@ def max_welfare(
     plan, free goods and utilities: each key keeps the lex-smallest
     owner vector, and states with the same key have the same completions,
     so the optimum and its lex-first witness survive the merging. Otherwise
-    the stream is a branch-and-bound search that skips a prefix once a
+    the stream is the canonical allocations of `iter_allocations_scaled`,
+    which keep both as every key and filter is invariant under permuting
+    identical goods, in a branch-and-bound search that skips a prefix once a
     ceiling on the key over its completions is at or below the incumbent's,
     so nothing skipped could improve. For EF1 and balancedness the floor
     starts at -1, so every prefix is asked, and the filter's ceiling also

@@ -20,6 +20,7 @@ from .model import (
     Allocation,
     ExtendedValue,
     Instance,
+    _check_cells,
     _check_list_size,
     agent_utilities,
     egalitarian_welfare,
@@ -265,6 +266,7 @@ def run_suite(
         )
     _check_list_size("n", n)
     _check_list_size("m_max", m_max)
+    _check_cells(n, m_max, cap)
     # The corpus stream only ever draws instances, so every suite sees the
     # same instances for the same (n, m_max, trials, seed); per-trial
     # sampling inside checks uses its own derived stream.

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egalpof.cli import main
+from egalpof.model import DEFAULT_ENUMERATION_CAP
 
 # a size no Python list can have: it must fail before anything allocates
 HUGE = str(sys.maxsize + 1)
@@ -234,6 +235,32 @@ class TestErrorPaths:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "argv, env",
+        [
+            (["verify", "--suite", "facts", "--n", "1000000000", "--m-max", "3", "--trials", "1", "--seed", "1"], None),
+            (["generate", "--family", "thm1", "--n", "3", "--m", "700000"], None),
+            (["generate", "--family", "thm4", "--eps", "1/100", "--pad", "1500"], None),
+            (["generate", "--family", "thm1", "--n", "3", "--m", "40"], "100"),
+            (["verify", "--suite", "bounds", "--n", "3", "--m-max", "40", "--trials", "1", "--seed", "1"], "100"),
+        ],
+        ids=["verify-n", "generate-m", "generate-pad", "generate-env-cap", "verify-env-cap"],
+    )
+    def test_sizes_past_cell_cap(self, tmp_path, capsys, monkeypatch, argv, env):
+        # more utility cells than the cap in force: exit 2 before the
+        # instance is built
+        out = tmp_path / "x.json"
+        if argv[0] == "generate":
+            argv = [*argv, "--out", str(out)]
+        if env is None:
+            monkeypatch.delenv("EGALPOF_CAP", raising=False)
+        else:
+            monkeypatch.setenv("EGALPOF_CAP", env)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: need at most ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "command, source, value",
         [(c, "--cap", v) for c in ("solve", "pof") for v in ("0", "-3")]
         + [(c, "EGALPOF_CAP", v) for c in ("solve", "pof", "verify") for v in ("0", "-3")],
@@ -277,9 +304,10 @@ def mutated_instances(draw):
 
 
 def sizes(top):
-    """Small sizes or sizes past every list length, so no example allocates
-    much or searches long."""
-    return st.one_of(st.integers(-2, top), st.integers(sys.maxsize + 1, 4 * sys.maxsize)).map(str)
+    """Small sizes, or sizes past the default cap on utility cells, up to
+    past every list length, so no example allocates much or searches long."""
+    large = st.integers(DEFAULT_ENUMERATION_CAP + 1, 4 * sys.maxsize)
+    return st.one_of(st.integers(-2, top), large).map(str)
 
 
 RATIONALS = st.sampled_from(["1/100", "1/10", "3/2", "2/5", "0", "-1", "1/0", "x", ""])

@@ -101,6 +101,19 @@ class TestGenThm1:
     def test_n4_pof_ba_reach(self, m, pof):
         assert price_of_fairness(gen_thm1(4, m), PropertyFilter.BALANCED) == pof
 
+    @pytest.mark.parametrize("n, m", [(3, 30), (3, 60), (4, 20), (4, 30), (5, 15), (5, 20)])
+    def test_conjectured_forms_at_large_m(self, n, m):
+        """pof_ba = (m-n+1)/ceil(m/n) and pof_ef1 = pof_mnw =
+        (m-n+1)/floor((m+n-3)/(n-1)) are conjectures: they fit the solver's
+        tables at n = 3, 4, 5 and none is proved. Goods 2..m are identical,
+        so the search visits one allocation per class of mirror allocations
+        and n**m is no limit."""
+        inst = gen_thm1(n, m)
+        ef1 = F(m - n + 1, (m + n - 3) // (n - 1))
+        assert price_of_fairness(inst, PropertyFilter.BALANCED) == F(m - n + 1, ceil(F(m, n)))
+        assert price_of_fairness(inst, PropertyFilter.EF1) == ef1
+        assert price_of_fairness(inst, PropertyFilter.MAX_NASH) == ef1
+
 
 class TestGenThm4:
     def test_rows(self):

@@ -188,6 +188,15 @@ def test_pruned_solver_matches_exhaustive(inst):
     assert_solver_matches_oracle(inst)
 
 
+@settings(max_examples=60, deadline=None)
+@given(instances(max_m=6, max_value=3, repeat_columns=True))
+def test_search_matches_exhaustive_on_repeated_columns(inst):
+    # the search visits one canonical allocation per class of identical
+    # goods; value and witness still equal the exhaustive scan's
+    props = tuple(p for p in PropertyFilter if p is not PropertyFilter.ROUND_ROBIN)
+    assert_solver_matches_oracle(inst, props)
+
+
 @given(instances())
 def test_instance_file_round_trip(inst):
     text = write_instance_file(inst)

@@ -212,14 +212,31 @@ def test_iter_allocations_scaled_prune_skips_extensions():
         return -prefix_util[1]  # at or below -2 once agent 2 holds two goods
 
     kept = [tuple(o) for o, _ in iter_allocations_scaled(inst, ceiling=ceiling, floor=[-2])]
-    # whole allocations (k = m) are never asked about
-    expected = [o for o in itertools.product((1, 2, 3), repeat=5) if o[:-1].count(2) < 2]
-    assert kept == expected
+    # the five goods are identical, so the search visits only the canonical
+    # allocations, whose owners never decrease; whole allocations (k = m)
+    # are never asked about
+    canonical = [o for o in itertools.product((1, 2, 3), repeat=5) if list(o) == sorted(o)]
+    expected = [o for o in canonical if o[:-1].count(2) < 2]
+    assert kept == expected and len(expected) < len(canonical)
     assert set(asked) == {1, 2, 3, 4}
     # nothing is asked before the consumer has an incumbent
     asked.clear()
-    assert len(list(iter_allocations_scaled(inst, ceiling=ceiling, floor=[None]))) == 3**5
+    assert [tuple(o) for o, _ in iter_allocations_scaled(inst, ceiling=ceiling, floor=[None])] == canonical
     assert not asked
+
+
+def test_iter_allocations_scaled_search_visits_canonical_allocations():
+    # goods 1, 3 and 2, 5 are identical pairs (A B A C B); good 4 has no twin
+    a, b, c = [2, 1], [1, 1], [0, 0]
+    inst = normalize_instance([list(row) for row in zip(a, b, a, c, b)])
+    assert inst._twins == (None, None, 0, None, 1)
+    every = list(itertools.product((1, 2), repeat=5))
+    # a scan yields every allocation; a search only those whose owners do
+    # not decrease within each identical pair
+    assert [tuple(o) for o, _ in iter_allocations_scaled(inst)] == every
+    search = iter_allocations_scaled(inst, ceiling=lambda o, p, k: 1, floor=[0])
+    canonical = [o for o in every if o[0] <= o[2] and o[1] <= o[4]]
+    assert [tuple(o) for o, _ in search] == canonical and len(canonical) == 18
 
 
 def test_iter_allocations_scaled_unbeatable_floor_yields_nothing():

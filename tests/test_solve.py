@@ -18,6 +18,7 @@ from egalpof import (
     is_balanced,
     is_ef1,
     max_welfare,
+    normalize_instance,
     price_of_fairness,
     validate_instance,
 )
@@ -112,23 +113,25 @@ class TestMaxWelfare:
 
     def test_budget(self):
         # 2**30 allocations: the search is refused only when its count of
-        # states passes the cap, not by an up-front n**m check
-        inst = validate_instance([[F(1, 30)] * 30, [F(1, 30)] * 30])
+        # states passes the cap, not by an up-front n**m check; the columns
+        # differ, so no good mirrors another
+        inst = normalize_instance([list(range(1, 31)), [1] * 30])
         with pytest.raises(BudgetExceeded) as err:
             max_welfare(inst, Objective.EGALITARIAN, cap=10**4)
         assert (err.value.needed, err.value.cap) == (10**4 + 1, 10**4)
 
     def test_never_refused_within_allocation_count(self):
-        # 2**10 allocations fit the cap; the search asks about 18 prefixes
+        # 2**10 allocations fit the cap; the search asks about 15 prefixes
         # and yields 2 allocations
         inst = validate_instance([[F(1, 10)] * 10, [F(0)] * 9 + [F(1)]])
         result = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.BALANCED, cap=2**10)
         assert (result.value, result.witness.owner) == (F(1, 2), (1,) * 5 + (2,) * 5)
-        # all tied, 2**7 allocations: the search asks about 102 prefixes and
-        # yields 42 allocations, 144 states, and is still not refused
-        tied = validate_instance([[F(1, 7)] * 7] * 2)
-        result = max_welfare(tied, Objective.EGALITARIAN, PropertyFilter.BALANCED, cap=2**7)
-        assert (result.value, result.witness.owner) == (F(3, 7), (1,) * 4 + (2,) * 3)
+        # distinct columns, 2**7 allocations: the search asks about 104
+        # prefixes and yields 52 allocations, 156 states, and is still not
+        # refused
+        inst = normalize_instance([list(range(1, 8)), [1] * 7])
+        result = max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.BALANCED, cap=2**7)
+        assert (result.value, result.witness.owner) == (F(4, 7), (2, 2, 1, 2, 2, 1, 1))
         # every allocation is worth 1, so the sum's ceiling stops the search
         # at the second allocation
         tied = validate_instance([[F(1, 20)] * 20, [F(1, 20)] * 20])
@@ -169,9 +172,11 @@ class TestFilterPrunes:
             assert_solver_matches_oracle(inst, (PropertyFilter.BALANCED, PropertyFilter.EF1))
 
     def test_explored_counts(self):
-        # allocations the search reaches on thm1 n=3 m=11 for the three
-        # objectives, pinned so a change to the cuts shows; the objective's
-        # ceiling alone reaches 21,723, 44,046 and 21,444 (ba) and 10,683,
+        # canonical allocations the search reaches on thm1 n=3 m=11 for the
+        # three objectives, pinned so a change to the cuts shows. Over every
+        # allocation, not only canonical ones, the cuts reached 6, 18,900 and
+        # 9,729 (ba) and 2,487, 2,745 and 2,430 (ef1); the objective's
+        # ceiling alone reached 21,723, 44,046 and 21,444 (ba) and 10,683,
         # 11,232 and 4,707 (ef1)
         inst = gen_thm1(3, 11)
         explored = {
@@ -179,8 +184,8 @@ class TestFilterPrunes:
             for prop in (PropertyFilter.BALANCED, PropertyFilter.EF1)
         }
         assert explored == {
-            PropertyFilter.BALANCED: [6, 18_900, 9_729],
-            PropertyFilter.EF1: [2_487, 2_745, 2_430],
+            PropertyFilter.BALANCED: [2, 6, 6],
+            PropertyFilter.EF1: [7, 14, 10],
         }
 
     @pytest.mark.parametrize("prop", [PropertyFilter.BALANCED, PropertyFilter.EF1])
@@ -221,6 +226,35 @@ class TestFilterPrunes:
                     assert rejected or some or prop is PropertyFilter.EF1
                     cut += rejected
         assert cut > 0
+
+
+def _repeated_columns(rng, n, m):
+    """An n x m instance whose goods each take one of 2-3 drawn columns, in
+    random order, so that identical goods need not be adjacent."""
+    while True:
+        pool = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(2, 3))]
+        columns = [rng.choice(pool) for _ in range(m)]
+        rows = [list(row) for row in zip(*columns)]
+        if all(map(any, rows)):
+            return normalize_instance(rows)
+
+
+class TestIdenticalGoods:
+    """The search visits one canonical allocation per class of identical goods."""
+
+    def test_matches_oracle_on_interleaved_repeated_columns(self):
+        rng = random.Random(31)
+        props = tuple(p for p in PropertyFilter if p is not PropertyFilter.ROUND_ROBIN)
+        draws = [
+            _repeated_columns(rng, n, rng.randint(4, m_max))
+            for n, m_max in ((2, 8), (3, 7), (4, 6))
+            for _ in range(4)
+        ]
+        # A B A C B: two interleaved pairs of identical goods
+        a, b, c = [3, 1, 0], [1, 1, 2], [0, 2, 1]
+        draws.append(normalize_instance([list(row) for row in zip(a, b, a, c, b)]))
+        for inst in draws:
+            assert_solver_matches_oracle(inst, props)
 
 
 class TestPriceOfFairness:
