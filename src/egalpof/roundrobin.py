@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Callable, Hashable, Mapping, Sequence
+from operator import itemgetter, le, ne
+from typing import Callable, Hashable, Iterator, Mapping, Sequence
 
 from .errors import BudgetExceeded, EmptyBundle, PreconditionViolated
 from .model import (
@@ -108,6 +108,52 @@ BY_OWNER = itemgetter(0, 1)
 BY_FREE_AND_UTILITIES = itemgetter(0, 2, 3)
 
 
+def _classes(twins: Sequence[int | None]) -> list[list[int]]:
+    """`classes[g]`: the goods of g's class of identical goods, ascending,
+    one list shared by the class; `twins[g]` is g's previous twin."""
+    classes: list[list[int]] = []
+    for g, t in enumerate(twins):
+        classes.append([] if t is None else classes[t])
+        classes[g].append(g)
+    return classes
+
+
+def _beats_rule(twins: Sequence[int | None]) -> Callable[[tuple, tuple], bool]:
+    """`beats(x, y)`: whether, for two class-sorted owner vectors with the
+    same free goods, every completion of x sorts at or before the same
+    completion of y.
+
+    Let x and y first differ within a class C at position p of C's goods.
+    Adding the same picks to both never reverses their order there; it
+    only moves that difference later, by at most the f free goods of C, so
+    it ends at one of C's positions p..p+f. The completions first differ in
+    a class whose position p comes no later than the least position p+f
+    over all classes, and x beats y when each such class favours x.
+    Without twins this is x <= y."""
+    if twins.count(None) == len(twins):
+        return le
+    classes = _classes(twins)
+
+    def beats(x: tuple, y: tuple) -> bool:
+        last = len(x)
+        judged = set()
+        for g in itertools.compress(range(len(x)), map(ne, x, y)):
+            if g > last:
+                break
+            goods = classes[g]
+            if goods[0] in judged:
+                continue
+            if x[g] > y[g]:
+                return False
+            judged.add(goods[0])
+            # the class's free goods are its last ones, still unowned
+            free = sum(not x[h] for h in goods)
+            last = min(last, goods[goods.index(g) + free])
+        return True
+
+    return beats
+
+
 def layered_rr_search(
     inst: Instance,
     key: Callable[[tuple], Hashable],
@@ -127,13 +173,20 @@ def layered_rr_search(
     round's last pick on, the plan is the next min(n, picks left) pickers:
     the picker is `plan[0]` and the plan rotates by one, so every final
     plan is (). States thus merge once their futures agree; when m >= 2n
-    the middle rounds still carry the whole first-round order. A state
-    extends by every free good tied for the picker's top utility, or with
-    `target` only by those the picker owns in `target`. Each layer keeps
-    one state per `key(state)`, the one with the lexicographically smallest
-    owner vector; states with equal keys must have the same completions
-    (`BY_OWNER`, `BY_FREE_AND_UTILITIES`). `cap` bounds the keyed states
-    summed over the layers; BudgetExceeded fires at the first one over it.
+    the middle rounds still carry the whole first-round order.
+
+    A state extends by every free good tied for the picker's top utility,
+    or with `target` only by those the picker owns in `target`. Of a class
+    of identical goods (`Instance._twins`; with `target`, split further by
+    each good's owner there) the picker takes only the lowest-index free
+    one, so a class's taken goods are its first ones, and the owner vector
+    keeps their owners sorted: states that differ only in which twin was
+    taken collapse. Each layer keeps, per `key(state)`, every state that no
+    other state with that key beats (`_beats_rule`): one when no class
+    holds two goods, the lexicographically smallest. States with equal keys
+    must have the same completions (`BY_OWNER`, `BY_FREE_AND_UTILITIES`).
+    `cap` bounds the states kept summed over the layers; BudgetExceeded
+    fires at the first one over it.
     """
     _, rows = scaled_rows(inst)
     n, m = inst.n, inst.m
@@ -141,6 +194,15 @@ def layered_rr_search(
     again = min(n, max(m - n, 0))
     # each agent's 0-based goods, most valuable first
     ranked = [[g - 1 for g in priority_order(inst, i)] for i in agents]
+    twins = inst._twins
+    if target is not None:  # each good's previous twin with its owner in `target`
+        split = []
+        for g, t in enumerate(twins):
+            while t is not None and target[t] != target[g]:
+                t = twins[t]
+            split.append(t)
+        twins = split
+    beats = _beats_rule(twins)
 
     def moves(plan: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (picker, next plan) pairs of pick k from `plan`."""
@@ -155,13 +217,15 @@ def layered_rr_search(
                 pairs.append((a, picked[:again] + rest))
         return pairs
 
-    layer = {None: ((), (0,) * m, (1 << m) - 1, (0,) * n)}
+    layer = [((), (0,) * m, (1 << m) - 1, (0,) * n)]
     states = 0
     for k in range(m):
+        # per key, one unbeaten state in `after` and any others in `rivals`
         after: dict[Hashable, tuple] = {}
+        rivals: dict[Hashable, list[tuple]] = {}
         # one list per plan, so the states of a plan share their next plans
         moves_of: dict[tuple, list] = {}
-        for plan, owner, free, util in layer.values():
+        for plan, owner, free, util in layer:
             if plan not in moves_of:
                 moves_of[plan] = moves(plan, k)
             for agent, next_plan in moves_of[plan]:
@@ -177,17 +241,49 @@ def layered_rr_search(
                         break
                     if target is not None and target[g] != agent:
                         continue
-                    child = owner[:g] + (agent,) + owner[g + 1 :]
+                    t = twins[g]
+                    if t is None or 0 < owner[t] <= agent:
+                        child = owner[:g] + (agent,) + owner[g + 1 :]
+                    elif not owner[t]:
+                        continue  # an earlier twin is still free
+                    else:  # sort the agent in among its class's taken goods
+                        slots = list(owner)
+                        j = g
+                        while t is not None and slots[t] > agent:
+                            slots[j] = slots[t]
+                            j, t = t, twins[t]
+                        slots[j] = agent
+                        child = tuple(slots)
                     new = (next_plan, child, free ^ 1 << g, gained)
-                    held = after.setdefault(key(new), new)
+                    at = key(new)
+                    held = after.setdefault(at, new)
                     if held is new:
                         states += 1
-                        if states > cap:
-                            raise BudgetExceeded(cap + 1, cap)
-                    elif child < held[1]:
-                        after[key(new)] = new
-        layer = after
-    return [(owner, util) for _, owner, _, util in layer.values()]
+                    elif beats(held[1], child):
+                        continue
+                    else:
+                        others = rivals.get(at, ())
+                        if any(beats(rival[1], child) for rival in others):
+                            continue
+                        kept = [state for state in (held, *others) if not beats(child, state[1])]
+                        states += len(kept) - len(others)
+                        after[at] = new
+                        if kept or others:
+                            rivals[at] = kept
+                    if states > cap:
+                        raise BudgetExceeded(cap + 1, cap)
+        layer = itertools.chain(after.values(), *rivals.values()) if rivals else after.values()
+    return [(owner, util) for _, owner, _, util in layer]
+
+
+def _orders(owners: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct ordering of `owners`."""
+    if not owners:
+        yield ()
+    for a in sorted(set(owners)):
+        i = owners.index(a)
+        for rest in _orders(owners[:i] + owners[i + 1 :]):
+            yield (a,) + rest
 
 
 def enumerate_rr_allocations(
@@ -196,13 +292,28 @@ def enumerate_rr_allocations(
     """Every allocation some (ordering, tiebreak) pair can produce, in
     lexicographic owner order.
 
-    Runs `layered_rr_search` keyed by the owner vector. States merge once
-    their plans agree, so on the all-tied 6x6 instance the search holds
-    13,326 states for 720 outcomes. Every final plan is (), so the final
-    states are the outcomes. `cap` bounds those states.
+    Runs `layered_rr_search` keyed by the owner vector. Every final plan is
+    (), so its final states are the outcomes whose classes of identical
+    goods hold sorted owners. Permuting identical goods maps outcomes to
+    outcomes (they tie for every agent, so swapped tiebreaks replay the
+    run), so every ordering of each class's owners is listed too. `cap`
+    bounds the search's states and, separately, the outcomes listed.
     """
-    final = layered_rr_search(inst, BY_OWNER, cap)
-    return [Allocation(inst.n, owner) for owner, _ in sorted(final)]
+    owners = [owner for owner, _ in layered_rr_search(inst, BY_OWNER, cap)]
+    for g, goods in enumerate(_classes(inst._twins)):
+        if g != goods[0] or len(goods) < 2:
+            continue
+        spread = []
+        for owner in owners:
+            for order in _orders(itemgetter(*goods)(owner)):
+                slots = list(owner)
+                for h, a in zip(goods, order):
+                    slots[h] = a
+                spread.append(tuple(slots))
+                if len(spread) > cap:
+                    raise BudgetExceeded(cap + 1, cap)
+        owners = spread
+    return [Allocation(inst.n, owner) for owner in sorted(owners)]
 
 
 def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:

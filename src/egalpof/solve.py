@@ -171,9 +171,12 @@ def max_welfare(
     lex-first optimum. The key is the objective, or the (filter welfare,
     objective) pair for the welfare-maximizer filters. For round-robin the
     stream is the sorted final states of `layered_rr_search` keyed by
-    plan, free goods and utilities: each key keeps the lex-smallest
-    owner vector, and states with the same key have the same completions,
-    so the optimum and its lex-first witness survive the merging. Otherwise
+    plan, free goods and utilities. States with the same key have the same
+    completions, and a state is dropped only when another with its key
+    gives every completion a lex-smaller or equal class-sorted owner
+    vector; each final state's owner vector is class-sorted, the lex-first
+    of its mirror allocations, so the optimum and its lex-first witness
+    survive both the twin skip and the merging. Otherwise
     the stream is the canonical allocations of `iter_allocations_scaled`,
     which keep both as every key and filter is invariant under permuting
     identical goods, in a branch-and-bound search that skips a prefix once a

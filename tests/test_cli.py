@@ -81,10 +81,11 @@ class TestSolve:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_cap_reaches_round_robin(self, tmp_path, capsys):
-        # 2 x 4 all-tied goods: 16 allocations fit the cap, but the
-        # round-robin search needs more than 10 distinct partial allocations
+        # 2 x 4 with distinct columns, so no good has a twin: 16
+        # allocations fit the cap, but the round-robin search needs 19 states
         path = tmp_path / "ties.json"
-        path.write_text(json.dumps({"n": 2, "m": 4, "utilities": [["1/4"] * 4] * 2}))
+        rows = [["1/6", "1/6", "1/3", "1/3"], ["1/6", "1/3", "1/6", "1/3"]]
+        path.write_text(json.dumps({"n": 2, "m": 4, "utilities": rows}))
         argv = ["--instance", str(path), "--objective", "ew", "--property", "rr"]
         assert main(["solve", *argv, "--cap", "10"]) == 2
         captured = capsys.readouterr()

@@ -84,6 +84,26 @@ class TestGenThm1:
         # 3**m allocations are over the cap; the round-robin search is not
         assert price_of_fairness(gen_thm1(3, m), PropertyFilter.ROUND_ROBIN) == pof
 
+    @pytest.mark.parametrize(
+        "n, m, pof",
+        [
+            (3, 20, F(18, 7)),
+            (3, 30, F(14, 5)),
+            (3, 40, F(38, 13)),
+            (4, 12, F(3)),
+            (4, 16, F(13, 4)),
+            (4, 20, F(17, 5)),
+            (5, 15, F(11, 3)),
+        ],
+    )
+    def test_conjectured_pof_rr_at_large_m(self, n, m, pof):
+        """Values read off the solver's table. They fit the conjecture
+        pof_rr = (m-n+1)/floor((m+n-2)/n), the n = 3 closed form above with
+        agent n picking second; it is not proved for n > 3. Goods 2..m are
+        identical, so each picker takes only the first free one of them."""
+        assert pof == F(m - n + 1, (m + n - 2) // n)
+        assert price_of_fairness(gen_thm1(n, m), PropertyFilter.ROUND_ROBIN) == pof
+
     @pytest.mark.parametrize("m", range(14, 21))
     def test_pof_ba_reach(self, m):
         # 3**m allocations are over the cap; the search cut to prefixes with

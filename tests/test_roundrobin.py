@@ -19,6 +19,7 @@ from egalpof import (
     gen_thm1,
     gen_thm5,
     is_rr,
+    normalize_instance,
     rr_from_mew,
     run_round_robin,
     validate_instance,
@@ -73,7 +74,8 @@ class TestEnumerateRR:
         assert not is_rr(IDENTITY, Allocation(2, (1, 1)))
 
     def test_branch_budget(self):
-        inst = validate_instance([[F(1, 4)] * 4, [F(1, 4)] * 4])
+        # distinct columns, so no twins collapse: the search needs 20 states
+        inst = normalize_instance([[1, 1, 2, 2], [1, 2, 1, 2]])
         with pytest.raises(BudgetExceeded) as err:
             enumerate_rr_allocations(inst, cap=10)
         assert (err.value.needed, err.value.cap) == (11, 10)
@@ -86,24 +88,29 @@ class TestEnumerateRR:
         assert owners == [(a, b) for a in range(1, 9) for b in range(1, 9) if a != b]
 
     def test_one_round_merges_orderings(self):
-        # m = n: states of all orderings merge, 13,326 of them here, where
-        # keeping each ordering apart needs 1,408,320
+        # m = n: states of all orderings merge; all goods are twins, so
+        # the search holds 63 states (one per set of agents that have
+        # picked) and the 720 outcomes are the orderings of its one final
+        # owner vector, which the cap bounds too
         inst = validate_instance([[F(1, 6)] * 6] * 6)
-        outcomes = enumerate_rr_allocations(inst, cap=20_000)
+        outcomes = enumerate_rr_allocations(inst, cap=720)
         assert len(outcomes) == 720
         assert all(sorted(a.owner) == list(range(1, 7)) for a in outcomes)
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_rr_allocations(inst, cap=719)
+        assert (err.value.needed, err.value.cap) == (720, 719)
 
     def test_orderings_merge_once_futures_agree(self):
         # m = 7 > n = 5: after the first round only the order of the two
-        # agents that pick again matters, so the search holds 177,275
-        # states; keeping every first-round order apart needs 870,275
+        # agents that pick again matters
         inst = validate_instance([[F(1, 7)] * 7] * 5)
         assert len(enumerate_rr_allocations(inst, cap=200_000)) == 12_600
 
     def test_targeted_is_rr(self):
-        # full enumeration of this instance needs 130,921 states; the
-        # targeted search only follows picks that match the allocation
-        inst = validate_instance([[F(1, 7)] * 7] * 7)
+        # six all-tied agents and one with distinct values, so no good has
+        # a twin: full enumeration needs 75,265 states; the targeted search
+        # only follows picks that match the allocation
+        inst = normalize_instance([[1] * 7] * 6 + [[1, 2, 3, 4, 5, 6, 7]])
         assert is_rr(inst, Allocation(7, (3, 1, 4, 7, 5, 2, 6)), cap=10_000)
         assert not is_rr(inst, Allocation(7, (1, 1, 2, 3, 4, 5, 6)), cap=10_000)
         with pytest.raises(BudgetExceeded):

@@ -145,6 +145,21 @@ class TestMaxWelfare:
         assert (result.value, result.witness.owner) == (F(1, 4), (1, 1, 2, 2, 3, 3, 4, 4))
         assert result.explored == 1
 
+    def test_round_robin_keeps_unbeaten_states(self):
+        # goods 2-4 are twins for agents 1-2; keeping only the smallest
+        # class-sorted owner vector per key returns (1, 1, 2, 4, 3) for the
+        # egalitarian key, as the same later picks move where two sorted
+        # classes first differ; the witnesses are the schedule oracle's
+        inst = normalize_instance([[0, 1, 1, 1, 0], [0, 1, 1, 1, 0], [0, 1, 0, 0, 0], [0, 0, 1, 1, 0]])
+        expected = {
+            Objective.EGALITARIAN: (F(0), (1, 1, 2, 3, 4)),
+            Objective.UTILITARIAN: (F(11, 6), (1, 3, 1, 4, 2)),
+            Objective.NASH: (F(0), (1, 1, 2, 3, 4)),
+        }
+        for objective, (value, owner) in expected.items():
+            result = max_welfare(inst, objective, PropertyFilter.ROUND_ROBIN)
+            assert (result.value, result.witness.owner, result.explored) == (value, owner, 7)
+
     @pytest.mark.parametrize(
         "prop, pof", [(PropertyFilter.EF1, F(5, 3)), (PropertyFilter.BALANCED, F(5, 2))]
     )
