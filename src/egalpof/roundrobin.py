@@ -110,7 +110,10 @@ BY_FREE_AND_UTILITIES = itemgetter(0, 2, 3)
 
 def _classes(twins: Sequence[int | None]) -> list[list[int]]:
     """`classes[g]`: the goods of g's class of identical goods, ascending,
-    one list shared by the class; `twins[g]` is g's previous twin."""
+    one list shared by the class; `twins[g]` is g's previous twin. Empty
+    when no good has a twin."""
+    if twins.count(None) == len(twins):
+        return []
     classes: list[list[int]] = []
     for g, t in enumerate(twins):
         classes.append([] if t is None else classes[t])
@@ -130,9 +133,9 @@ def _beats_rule(twins: Sequence[int | None]) -> Callable[[tuple, tuple], bool]:
     a class whose position p comes no later than the least position p+f
     over all classes, and x beats y when each such class favours x.
     Without twins this is x <= y."""
-    if twins.count(None) == len(twins):
-        return le
     classes = _classes(twins)
+    if not classes:
+        return le
 
     def beats(x: tuple, y: tuple) -> bool:
         last = len(x)
@@ -242,18 +245,16 @@ def layered_rr_search(
                     if target is not None and target[g] != agent:
                         continue
                     t = twins[g]
-                    if t is None or 0 < owner[t] <= agent:
-                        child = owner[:g] + (agent,) + owner[g + 1 :]
-                    elif not owner[t]:
+                    if t is not None and not owner[t]:
                         continue  # an earlier twin is still free
-                    else:  # sort the agent in among its class's taken goods
-                        slots = list(owner)
-                        j = g
-                        while t is not None and slots[t] > agent:
-                            slots[j] = slots[t]
-                            j, t = t, twins[t]
-                        slots[j] = agent
-                        child = tuple(slots)
+                    # sort the agent in among its class's taken goods
+                    slots = list(owner)
+                    j = g
+                    while t is not None and slots[t] > agent:
+                        slots[j] = slots[t]
+                        j, t = t, twins[t]
+                    slots[j] = agent
+                    child = tuple(slots)
                     new = (next_plan, child, free ^ 1 << g, gained)
                     at = key(new)
                     held = after.setdefault(at, new)

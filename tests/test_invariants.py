@@ -2,10 +2,11 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import assert_solver_matches_oracle, every_schedule_outcome
+from _oracle import WELFARE, assert_solver_matches_oracle, every_schedule_outcome
 from _strategies import instances, instances_with_allocation
 from egalpof import (
     Objective,
@@ -217,6 +218,48 @@ def test_rr_search_matches_exhaustive_on_repeated_columns(inst):
     # each layer keeps every state that no state with its key beats, so the
     # lex-first witness survives although twins collapse
     assert_solver_matches_oracle(inst, (PropertyFilter.ROUND_ROBIN,))
+
+
+def assert_rr_matches_enumerated_outcomes(inst):
+    """Past the schedule oracle's reach: `enumerate_rr_allocations` keys its
+    states by owner vector, so no key holds two states, and the lex-first
+    optimum over its sorted outcomes is the reference for the keep-unbeaten
+    rule of the solver's (plan, free goods, utilities) key."""
+    outcomes = enumerate_rr_allocations(inst)
+    reached = {agent_utilities(inst, alloc) for alloc in outcomes}
+    for objective, welfare in WELFARE.items():
+        values = [welfare(inst, alloc) for alloc in outcomes]
+        best = max(values)
+        result = max_welfare(inst, objective, PropertyFilter.ROUND_ROBIN)
+        assert (result.value, result.witness) == (best, outcomes[values.index(best)]), objective
+        assert result.explored == len(reached)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        instances(max_m=7, max_value=3, repeat_columns=True),
+        instances(max_n=4, min_m=4, max_m=7, max_value=1, repeat_columns=True),
+    )
+)
+def test_rr_search_matches_enumerated_outcomes(inst):
+    # 0/1 values with tied agents are where keeping one state per key
+    # returns a wrong witness
+    assert_rr_matches_enumerated_outcomes(inst)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1, 0, 1, 0, 1, 0, 1], [1] * 7, [1] * 7],
+        [[1] * 7, [1] * 7, [0, 0, 1, 0, 1, 0, 0]],
+    ],
+)
+def test_rr_search_matches_enumerated_outcomes_pinned(rows):
+    # keeping one state per key, or reading the last position a class's
+    # first difference can reach one good too early, returns a wrong
+    # egalitarian witness on both
+    assert_rr_matches_enumerated_outcomes(normalize_instance(rows))
 
 
 @given(instances())

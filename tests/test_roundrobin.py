@@ -102,9 +102,12 @@ class TestEnumerateRR:
 
     def test_orderings_merge_once_futures_agree(self):
         # m = 7 > n = 5: after the first round only the order of the two
-        # agents that pick again matters
-        inst = validate_instance([[F(1, 7)] * 7] * 5)
-        assert len(enumerate_rr_allocations(inst, cap=200_000)) == 12_600
+        # agents that pick again matters, so the search holds 60,261
+        # states; keeping every first-round order apart needs 130,389.
+        # Four all-tied agents and one with distinct values, so no good has
+        # a twin and no twins collapse
+        inst = normalize_instance([[1] * 7] * 4 + [[1, 2, 3, 4, 5, 6, 7]])
+        assert len(enumerate_rr_allocations(inst, cap=80_000)) == 5_952
 
     def test_targeted_is_rr(self):
         # six all-tied agents and one with distinct values, so no good has
