@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from math import inf, lcm, prod
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -111,6 +112,10 @@ class Instance:
             twins.append(last.get(column))
             last[column] = k
         return tuple(twins)
+
+    @cached_property
+    def _twin_classes(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, _classes(self._twins)))
 
 
 @dataclass(frozen=True)
@@ -339,40 +344,31 @@ def iter_allocations_scaled(
     to the next agent and takes it off again after agent n. `util` always
     holds the scaled utilities of the goods in the current prefix.
 
-    Without `ceiling` every good starts at agent 1 and all n**m allocations
-    are yielded. With `ceiling` the enumeration is a search that yields one
-    canonical allocation per class of mirror allocations: goods with equal
-    columns (every agent values them alike) are identical, and within each
-    class of identical goods the owners never decrease, because a good
-    starts at the owner of the previous good with its column. Permuting
-    identical goods keeps every bundle's value and size for every agent,
-    and the lex-smallest allocation of each class is its canonical one, so
-    a search for the lex-first optimum of any such invariant key loses
-    neither the value nor the witness.
+    Goods with equal columns (every agent values them alike) are identical.
+    A good starts at its previous twin's owner (agent 1 if none), so only
+    the lex-smallest allocation of each class of mirror allocations is
+    yielded. Mirrors keep every bundle's value and size for every agent, so
+    no lex-first optimum of such a key is lost; `mirror_allocations` lists them.
 
-    In that mode the enumeration is also a branch-and-bound search. `floor`
-    is a one-element list in which the consumer keeps its incumbent's
-    comparison key, None until it has one. While floor[0] is not None,
-    `ceiling(owner, util, k)` is asked about every prefix owner[:k] with
-    0 < k < m that the loop enters, util being that prefix's utilities
-    (both valid only during the call). A prefix whose ceiling is at or below
-    floor[0] is skipped with every allocation that extends it; a ceiling
-    over all its completions bounds the canonical ones too. Prefixes are
-    asked in depth-first order, so a floor set from the start, below every
-    ceiling, has owner[:k - 1] asked and kept just before each owner[:k].
+    With `ceiling` the enumeration is also a branch-and-bound search.
+    `floor` is a one-element list in which the consumer keeps its
+    incumbent's comparison key, None until it has one. While floor[0] is
+    not None, `ceiling(owner, util, k)` is asked about every prefix
+    owner[:k] with 0 < k < m that the loop enters, util being that prefix's
+    utilities (both valid only during the call). A prefix whose ceiling is
+    at or below floor[0] is skipped with every allocation that extends it.
+    Prefixes are asked in depth-first order, so a floor set from the start,
+    below every ceiling, has owner[:k - 1] asked and kept just before each
+    owner[:k].
 
-    A search with n**m <= cap is never refused. A larger one raises
-    BudgetExceeded(n**m, cap) up front without `ceiling`; with it, states
+    A search with n**m <= cap is never refused. Otherwise states
     (allocations yielded, prefixes asked about) are counted as they are
     visited and BudgetExceeded(cap + 1, cap) fires at the first over `cap`.
     """
     n, m = inst.n, inst.m
-    if ceiling is None and n**m > cap:
-        raise BudgetExceeded(n**m, cap)
     limit = cap if n**m > cap else inf
     _, rows = scaled_rows(inst)
-    # good k+1 starts at agent 1, or at the owner of its previous twin
-    twins = inst._twins if ceiling is not None else (None,) * m
+    twins = inst._twins  # good k+1 starts at agent 1, or at its previous twin's owner
     owner = [0] * m
     util = [0] * n
     states = 0
@@ -408,3 +404,48 @@ def iter_allocations_scaled(
             util[a] += rows[a][k]
             k += 1
             entered = True
+
+
+def _classes(twins: Sequence[int | None]) -> list[list[int]]:
+    """`classes[g]`: the goods of g's class of identical goods, ascending,
+    one list shared by the class; `twins[g]` is g's previous twin. Empty
+    when no good has a twin."""
+    if twins.count(None) == len(twins):
+        return []
+    classes: list[list[int]] = []
+    for g, t in enumerate(twins):
+        classes.append([] if t is None else classes[t])
+        classes[g].append(g)
+    return classes
+
+
+def _orders(owners: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every distinct ordering of `owners`."""
+    if not owners:
+        yield ()
+    for a in sorted(set(owners)):
+        i = owners.index(a)
+        for rest in _orders(owners[:i] + owners[i + 1 :]):
+            yield (a,) + rest
+
+
+def mirror_allocations(
+    inst: Instance, owners: Iterable[tuple[int, ...]], cap: int = DEFAULT_ENUMERATION_CAP
+) -> list[tuple[int, ...]]:
+    """Every allocation that permutes identical goods in one of the distinct
+    canonical `owners` (each class's owners sorted), in sorted order. Raises
+    BudgetExceeded(cap + 1, cap) once it would list more than `cap`."""
+    for g, goods in enumerate(inst._twin_classes):
+        if g != goods[0] or len(goods) < 2:
+            continue
+        spread = []
+        for owner in owners:
+            for order in _orders(itemgetter(*goods)(owner)):
+                slots = list(owner)
+                for h, a in zip(goods, order):
+                    slots[h] = a
+                spread.append(tuple(slots))
+                if len(spread) > cap:
+                    raise BudgetExceeded(cap + 1, cap)
+        owners = spread
+    return sorted(owners)

@@ -16,6 +16,7 @@ from .model import (
     _check_pair,
     agent_utilities,
     iter_allocations_scaled,
+    mirror_allocations,
     scaled_rows,
     scaled_utilities,
 )
@@ -159,7 +160,7 @@ def dominates(inst: Instance, b: Allocation, a: Allocation) -> DominationVerdict
 def is_pareto_optimal(
     inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
-    """Exhaustively certify that no allocation strongly dominates this one."""
+    """Certify that no allocation (canonical ones suffice) strongly dominates this one."""
     _check_pair(inst, alloc)
     _, rows = scaled_rows(inst)
     base = scaled_utilities(rows, inst.n, alloc.owner)
@@ -174,10 +175,10 @@ def pareto_optimal_allocations(
 ) -> Iterator[Allocation]:
     """All Pareto-optimal allocations, in lexicographic owner order.
 
-    Two streaming passes: the first collects the maximal utility vectors
-    (any strong dominator has strictly larger sum, so scanning distinct
-    vectors in decreasing-sum order only ever needs comparisons against the
-    running maximal set), the second yields the allocations attaining them.
+    Two passes over the canonical allocations, which attain every utility
+    vector: the first collects the maximal ones (a strong dominator has a
+    strictly larger sum, so distinct vectors in decreasing-sum order need
+    only the running maximal set), the second their allocations and mirrors.
     """
     distinct = {tuple(util) for _, util in iter_allocations_scaled(inst, cap)}
     front: list[tuple[int, ...]] = []
@@ -185,9 +186,9 @@ def pareto_optimal_allocations(
         if not any(weakly_dominates(w, vec) for w in front):
             front.append(vec)
     front_set = set(front)
-    for owner, util in iter_allocations_scaled(inst, cap):
-        if tuple(util) in front_set:
-            yield Allocation(inst.n, tuple(owner))
+    owners = [tuple(o) for o, util in iter_allocations_scaled(inst, cap) if tuple(util) in front_set]
+    for owner in mirror_allocations(inst, owners, cap):
+        yield Allocation(inst.n, owner)
 
 
 def rotate_cycle(

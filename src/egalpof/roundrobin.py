@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from operator import itemgetter, le, ne
-from typing import Callable, Hashable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .errors import BudgetExceeded, EmptyBundle, PreconditionViolated
 from .model import (
@@ -15,6 +15,8 @@ from .model import (
     Allocation,
     Instance,
     _check_pair,
+    _classes,
+    mirror_allocations,
     scaled_rows,
     scaled_utilities,
 )
@@ -108,20 +110,7 @@ BY_OWNER = itemgetter(0, 1)
 BY_FREE_AND_UTILITIES = itemgetter(0, 2, 3)
 
 
-def _classes(twins: Sequence[int | None]) -> list[list[int]]:
-    """`classes[g]`: the goods of g's class of identical goods, ascending,
-    one list shared by the class; `twins[g]` is g's previous twin. Empty
-    when no good has a twin."""
-    if twins.count(None) == len(twins):
-        return []
-    classes: list[list[int]] = []
-    for g, t in enumerate(twins):
-        classes.append([] if t is None else classes[t])
-        classes[g].append(g)
-    return classes
-
-
-def _beats_rule(twins: Sequence[int | None]) -> Callable[[tuple, tuple], bool]:
+def _beats_rule(classes: Sequence[Sequence[int]]) -> Callable[[tuple, tuple], bool]:
     """`beats(x, y)`: whether, for two class-sorted owner vectors with the
     same free goods, every completion of x sorts at or before the same
     completion of y.
@@ -131,9 +120,8 @@ def _beats_rule(twins: Sequence[int | None]) -> Callable[[tuple, tuple], bool]:
     only moves that difference later, by at most the f free goods of C, so
     it ends at one of C's positions p..p+f. The completions first differ in
     a class whose position p comes no later than the least position p+f
-    over all classes, and x beats y when each such class favours x.
-    Without twins this is x <= y."""
-    classes = _classes(twins)
+    over all classes (`_classes`), and x beats y when each such class
+    favours x. Without twins this is x <= y."""
     if not classes:
         return le
 
@@ -205,7 +193,7 @@ def layered_rr_search(
                 t = twins[t]
             split.append(t)
         twins = split
-    beats = _beats_rule(twins)
+    beats = _beats_rule(inst._twin_classes if target is None else _classes(twins))
 
     def moves(plan: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (picker, next plan) pairs of pick k from `plan`."""
@@ -277,16 +265,6 @@ def layered_rr_search(
     return [(owner, util) for _, owner, _, util in layer]
 
 
-def _orders(owners: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Every distinct ordering of `owners`."""
-    if not owners:
-        yield ()
-    for a in sorted(set(owners)):
-        i = owners.index(a)
-        for rest in _orders(owners[:i] + owners[i + 1 :]):
-            yield (a,) + rest
-
-
 def enumerate_rr_allocations(
     inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Allocation]:
@@ -297,24 +275,12 @@ def enumerate_rr_allocations(
     (), so its final states are the outcomes whose classes of identical
     goods hold sorted owners. Permuting identical goods maps outcomes to
     outcomes (they tie for every agent, so swapped tiebreaks replay the
-    run), so every ordering of each class's owners is listed too. `cap`
-    bounds the search's states and, separately, the outcomes listed.
+    run), so `mirror_allocations` lists every ordering of each class's
+    owners too. `cap` bounds the search's states and, separately, the
+    outcomes listed.
     """
     owners = [owner for owner, _ in layered_rr_search(inst, BY_OWNER, cap)]
-    for g, goods in enumerate(_classes(inst._twins)):
-        if g != goods[0] or len(goods) < 2:
-            continue
-        spread = []
-        for owner in owners:
-            for order in _orders(itemgetter(*goods)(owner)):
-                slots = list(owner)
-                for h, a in zip(goods, order):
-                    slots[h] = a
-                spread.append(tuple(slots))
-                if len(spread) > cap:
-                    raise BudgetExceeded(cap + 1, cap)
-        owners = spread
-    return [Allocation(inst.n, owner) for owner in sorted(owners)]
+    return [Allocation(inst.n, owner) for owner in mirror_allocations(inst, owners, cap)]
 
 
 def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:

@@ -6,11 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import prod
 from operator import add, gt, sub
 from typing import Callable, Iterator
 
+from .errors import BudgetExceeded
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
@@ -58,9 +59,11 @@ class SolveResult:
 def enumerate_allocations(
     inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Allocation]:
-    """All n**m allocations as owner vectors in lexicographic order."""
-    for owner, _ in iter_allocations_scaled(inst, cap):
-        yield Allocation(inst.n, tuple(owner))
+    """All n**m allocations in lexicographic order: the test oracle's plain scan."""
+    if inst.n**inst.m > cap:
+        raise BudgetExceeded(inst.n**inst.m, cap)
+    for owner in product(inst.agents(), repeat=inst.m):
+        yield Allocation(inst.n, owner)
 
 
 def _ceilings(rows: tuple[tuple[int, ...], ...]) -> tuple[list, dict[Callable, Ceiling]]:

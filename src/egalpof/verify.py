@@ -256,7 +256,6 @@ def run_suite(
     trials: int,
     seed: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    denom_bound: int = 20,
 ) -> VerifyReport:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")
@@ -280,7 +279,7 @@ def run_suite(
     run = _RUNNERS[suite]
     for trial in range(trials):
         m = corpus_rng.randint(1, m_max)
-        inst = random_instance(corpus_rng, n, m, denom_bound)
+        inst = random_instance(corpus_rng, n, m)
         run(inst, random.Random(seed * 1_000_003 + trial), checks, cap)
     report = VerifyReport(suite=suite, n=n, m_max=m_max, trials=trials, seed=seed)
     report.checks = list(checks.values())

@@ -1,6 +1,8 @@
 """Exhaustive reference solver: the test oracle for `max_welfare`.
 
-It prunes nothing. It scans every allocation `enumerate_allocations` yields,
+It prunes nothing and skips no mirror allocation. It scans every
+allocation `enumerate_allocations` yields, a plain `itertools.product` loop
+that shares no code with the search kernel (`iter_allocations_scaled`),
 evaluates each welfare in `Fraction`s and keeps, per filter, the
 allocations the filter admits. The round-robin allocations are those
 `run_round_robin` produces over every ordering and every profile of

@@ -22,11 +22,13 @@ from egalpof import (
     envy_graph,
     is_balanced,
     is_ef1,
+    is_pareto_optimal,
     is_rr,
     max_welfare,
     nash_welfare,
     normalize_instance,
     parse_instance_file,
+    pareto_optimal_allocations,
     rotate_cycle,
     rr_from_mew,
     run_round_robin,
@@ -34,6 +36,7 @@ from egalpof import (
     validate_instance,
     write_instance_file,
 )
+from egalpof.properties import strictly_dominates
 from egalpof.verify import _ef1_existential
 
 
@@ -125,6 +128,22 @@ def test_rr_search_matches_every_schedule_on_repeated_columns(inst):
     assert [a.owner for a in enumerate_rr_allocations(inst)] == expected
     for alloc in enumerate_allocations(inst):
         assert is_rr(inst, alloc) == (alloc.owner in expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(instances(max_m=5, max_value=2, repeat_columns=True), instances()))
+def test_pareto_matches_brute_force(inst):
+    # the kernel scans canonical allocations and lists their mirrors; the
+    # brute force compares the utility vectors of every allocation
+    allocs = list(enumerate_allocations(inst))
+    utils = [agent_utilities(inst, a) for a in allocs]
+    vectors = set(utils)
+    optimal = [
+        a for a, u in zip(allocs, utils) if not any(strictly_dominates(v, u) for v in vectors)
+    ]
+    assert list(pareto_optimal_allocations(inst)) == optimal
+    for alloc in allocs:
+        assert is_pareto_optimal(inst, alloc) == (alloc in optimal)
 
 
 @given(instances(max_m=4), st.data())

@@ -20,13 +20,14 @@ from egalpof import (
     agent_utilities,
     bundle_utility,
     egalitarian_welfare,
+    enumerate_allocations,
     extended_ratio,
     nash_welfare,
     normalize_instance,
     utilitarian_welfare,
     validate_instance,
 )
-from egalpof.model import Instance, iter_allocations_scaled, scaled_rows
+from egalpof.model import Instance, iter_allocations_scaled, mirror_allocations, scaled_rows
 from egalpof import gen_thm4, gen_thm5
 from egalpof.solve import Objective, PropertyFilter, max_welfare
 
@@ -196,9 +197,12 @@ def test_iter_allocations_scaled_lexicographic():
         alloc = Allocation(inst.n, tuple(owner))
         assert [F(x, scale) for x in util] == list(agent_utilities(inst, alloc))
     assert seen[:3] == [(1, 1, 1), (1, 1, 2), (1, 2, 1)]
+    # no two goods are identical, so every allocation is canonical
     assert seen == sorted(seen) and len(set(seen)) == 2**3
+    # the budget fires as the scan runs, at the eighth allocation
     with pytest.raises(BudgetExceeded) as err:
-        next(iter_allocations_scaled(inst, cap=7))
+        for _ in iter_allocations_scaled(inst, cap=7):
+            pass
     assert (err.value.needed, err.value.cap) == (8, 7)
 
 
@@ -231,12 +235,20 @@ def test_iter_allocations_scaled_search_visits_canonical_allocations():
     inst = normalize_instance([list(row) for row in zip(a, b, a, c, b)])
     assert inst._twins == (None, None, 0, None, 1)
     every = list(itertools.product((1, 2), repeat=5))
-    # a scan yields every allocation; a search only those whose owners do
-    # not decrease within each identical pair
-    assert [tuple(o) for o, _ in iter_allocations_scaled(inst)] == every
-    search = iter_allocations_scaled(inst, ceiling=lambda o, p, k: 1, floor=[0])
+    # the oracle scan yields every allocation; the enumerator, with or
+    # without a ceiling, only those whose owners do not decrease within
+    # each identical pair
+    assert [a.owner for a in enumerate_allocations(inst)] == every
     canonical = [o for o in every if o[0] <= o[2] and o[1] <= o[4]]
-    assert [tuple(o) for o, _ in search] == canonical and len(canonical) == 18
+    assert len(canonical) == 18
+    assert [tuple(o) for o, _ in iter_allocations_scaled(inst)] == canonical
+    search = iter_allocations_scaled(inst, ceiling=lambda o, p, k: 1, floor=[0])
+    assert [tuple(o) for o, _ in search] == canonical
+    # the mirrors of the canonical allocations are every allocation, once
+    assert mirror_allocations(inst, canonical) == every
+    with pytest.raises(BudgetExceeded) as err:
+        mirror_allocations(inst, canonical, cap=31)
+    assert (err.value.needed, err.value.cap) == (32, 31)
 
 
 def test_iter_allocations_scaled_unbeatable_floor_yields_nothing():

@@ -132,9 +132,23 @@ class TestParetoOptimal:
         assert is_pareto_optimal(IDENTITY, Allocation(2, (1, 2)))
 
     def test_budget(self):
+        # no two goods are identical, so every allocation is canonical; none
+        # dominates agent 1 holding everything, so the scan runs until the
+        # budget fires
+        inst = normalize_instance([list(range(1, 31)), list(range(30, 0, -1))])
+        with pytest.raises(BudgetExceeded) as err:
+            is_pareto_optimal(inst, Allocation(2, tuple([1] * 30)), cap=1000)
+        assert (err.value.needed, err.value.cap) == (1001, 1000)
+
+    def test_identical_goods_scan_canonical_allocations(self):
+        # 2**30 allocations, but the 30 identical goods leave 31 canonical ones
         inst = normalize_instance([[1] * 30, [1] * 30])
-        with pytest.raises(BudgetExceeded):
-            is_pareto_optimal(inst, Allocation(2, tuple([1] * 30)), cap=10**6)
+        assert is_pareto_optimal(inst, Allocation(2, tuple([1] * 30)))
+        # every allocation is Pareto-optimal, and listing their mirrors
+        # counts against the budget
+        with pytest.raises(BudgetExceeded) as err:
+            list(pareto_optimal_allocations(inst, cap=1000))
+        assert (err.value.needed, err.value.cap) == (1001, 1000)
 
     def test_enumeration_matches_single_checks(self):
         inst = normalize_instance([[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]])
