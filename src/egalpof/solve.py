@@ -21,7 +21,6 @@ from .model import (
     iter_allocations_scaled,
     scaled_rows,
 )
-from .properties import is_balanced, is_ef1
 from .roundrobin import BY_FREE_AND_UTILITIES, layered_rr_search
 
 Ceiling = Callable[[list[int], list[int], int], object]
@@ -85,10 +84,11 @@ def _ceilings(rows: tuple[tuple[int, ...], ...]) -> tuple[list, dict[Callable, C
 
 
 # The filter ceilings below return -1, under every key, for a prefix that no
-# admissible allocation extends. They keep one row of state per depth and
-# read the parent's: the search asks about every prefix it enters, in
-# depth-first order, once max_welfare starts the floor at -1, so owner[:k-1]
-# was asked just before owner[:k].
+# admissible allocation extends, and at k = m, where they are exact, for an
+# allocation the filter rejects. They keep one row of state per depth and
+# read the parent's: once max_welfare starts the floor at -1, the search asks
+# about every prefix it enters, in depth-first order, so owner[:k-1] was
+# asked just before owner[:k] and before every allocation extending it.
 
 
 def _balanced_ceiling(
@@ -96,18 +96,18 @@ def _balanced_ceiling(
 ) -> Ceiling:
     """Balanced allocations give every agent at most q = ceil(m/n) goods,
     and q to at most m mod n agents when n does not divide m; a prefix
-    within both limits has a balanced completion. For the egalitarian key
-    agent i, holding c_i goods, gains at most its q - c_i best remaining
-    values; other keys keep `ceiling`."""
+    within both limits has a balanced completion, and is balanced at k = m.
+    For the egalitarian key agent i, holding c_i goods, gains at most its
+    q - c_i best remaining values; other keys keep `ceiling`."""
     n, m = len(rows), len(rows[0])
     q = -(-m // n)
     full = m % n or n  # agents that may end with q goods
-    counts = [[0] * n for _ in range(m)]  # counts[k][i]: agent i+1's goods in owner[:k]
-    at_q = [0] * m  # agents holding q goods in owner[:k]
+    counts = [[0] * n for _ in range(m + 1)]  # counts[k][i]: agent i+1's goods in owner[:k]
+    at_q = [0] * (m + 1)  # agents holding q goods in owner[:k]
     if egalitarian:
         # room[k][i][c]: the sum of agent i+1's q - c best values among goods k+1..m
         top_q = lambda values: (sorted(values, reverse=True) + [0] * q)[:q]
-        room = [[list(accumulate(top_q(row[k:]), initial=0))[::-1] for row in rows] for k in range(m)]
+        room = [[list(accumulate(top_q(row[k:]), initial=0))[::-1] for row in rows] for k in range(m + 1)]
 
     def balanced(owner, util, k):
         held = counts[k]
@@ -124,26 +124,22 @@ def _balanced_ceiling(
     return balanced
 
 
-def _ef1_ceiling(
-    rows: tuple[tuple[int, ...], ...], rest: list, ceiling: Ceiling, egalitarian: bool, floor: list
-) -> Ceiling:
+def _ef1_ceiling(rows: tuple[tuple[int, ...], ...], rest: list, ceiling: Ceiling, floor: list) -> Ceiling:
     """A pair (i, j) with u_i(A_j) - max_{g in A_j} u_i(g) > u_i(A_i) +
     u_i(goods k+1..m) rules out every completion: the left side never falls
-    as A_j grows, and the right side bounds agent i's final utility. The
-    egalitarian key's ceiling is the least right side; other keys keep
-    `ceiling`.
+    as A_j grows, and the right side bounds agent i's final utility. At
+    k = m this is the EF1 test itself. A kept prefix gets `ceiling`.
 
     `bundles[k]` holds, for bundle j of owner[:k], every agent's value for
     it at j and for its best good at n + j; the new good changes only its
     owner's two entries. `envy[k][i]` is agent i's largest left side."""
     n, m = len(rows), len(rows[0])
     goods = list(zip(*rows))  # goods[g][i]: agent i+1's value for good g+1
-    bundles = [[(0,) * n] * (2 * n) for _ in range(m)]
-    envy = [(0,) * n] * m
+    bundles = [[(0,) * n] * (2 * n) for _ in range(m + 1)]
+    envy = [(0,) * n] * (m + 1)
 
     def ef1(owner, util, k):
-        right = tuple(map(add, util, rest[k]))
-        bound = min(right) if egalitarian else ceiling(owner, util, k)
+        bound = ceiling(owner, util, k)
         if bound <= floor[0]:
             return bound  # skipped: no extension reads this depth's rows
         a = owner[k - 1] - 1
@@ -155,7 +151,7 @@ def _ef1_ceiling(
         # agent a's entry also counts its own bundle, which is at most
         # util[a], a value that never falls, so it rejects nothing
         left = envy[k] = tuple(map(max, envy[k - 1], map(sub, worth, best)))
-        return -1 if any(map(gt, left, right)) else bound
+        return -1 if any(map(gt, left, map(add, util, rest[k]))) else bound
 
     return ef1
 
@@ -186,18 +182,18 @@ def max_welfare(
     ceiling on the key over its completions is at or below the incumbent's,
     so nothing skipped could improve. For EF1 and balancedness the floor
     starts at -1, so every prefix is asked, and the filter's ceiling also
-    skips each prefix that no admissible allocation extends; the filter
-    itself is checked on improvements, as a prefix does not show the last
-    good. `cap` bounds every search. `pruned` is accepted and ignored:
-    every solve is pruned.
+    skips each prefix that no admissible allocation extends. Asked at k = m
+    about an improving allocation, whose key is its own ceiling, it is -1
+    exactly when the filter rejects it. `cap` bounds every search. `pruned`
+    is accepted and ignored: every solve is pruned.
     """
     objective = Objective(objective)
     prop = PropertyFilter(prop)
-    n = inst.n
+    n, m = inst.n, inst.m
     scale, rows = scaled_rows(inst)
     value = {Objective.EGALITARIAN: min, Objective.UTILITARIAN: sum, Objective.NASH: prod}[objective]
     key: Callable[[list[int]], object] = value
-    accept: Callable[[tuple[int, ...]], bool] | None = None
+    judge: Ceiling | None = None  # the filter's ceiling, asked at k = m
     floor = [None]  # the incumbent's key, as the branch-and-bound search reads it
     if prop is PropertyFilter.ROUND_ROBIN:
         candidates = sorted(layered_rr_search(inst, BY_FREE_AND_UTILITIES, cap))
@@ -209,20 +205,18 @@ def max_welfare(
             key = lambda util: (welfare(util), value(util))
             first, then = ceilings[welfare], ceiling
             ceiling = lambda owner, prefix, k: (first(owner, prefix, k), then(owner, prefix, k))
-        elif prop is PropertyFilter.EF1:
-            accept = lambda owner: is_ef1(inst, Allocation(n, owner))
-            ceiling = _ef1_ceiling(rows, rest, ceiling, value is min, floor)
+        elif m and prop is PropertyFilter.EF1:  # m = 0 has no last good to read
+            ceiling = judge = _ef1_ceiling(rows, rest, ceiling, floor)
             floor[0] = -1  # under every key, so every prefix entered is asked
-        elif prop is PropertyFilter.BALANCED:
-            accept = lambda owner: is_balanced(Allocation(n, owner))
-            ceiling = _balanced_ceiling(rows, ceiling, value is min)
+        elif m and prop is PropertyFilter.BALANCED:
+            ceiling = judge = _balanced_ceiling(rows, ceiling, value is min)
             floor[0] = -1
         candidates = iter_allocations_scaled(inst, cap, ceiling, floor)
 
     best = witness = None
     for explored, (owner, util) in enumerate(candidates, 1):
         score = key(util)
-        if (best is None or score > best) and (accept is None or accept(tuple(owner))):
+        if (best is None or score > best) and (judge is None or judge(owner, util, m) != -1):
             best = floor[0] = score
             best_util = util[:]
             witness = tuple(owner)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -181,7 +182,11 @@ def _run_facts(
             is_ef1(inst, alloc) and is_balanced(alloc)
         )
     total = inst.n ** inst.m
-    for i in rng.sample(range(total), min(total, _EF1_SAMPLE_CAP)):
+    if total <= sys.maxsize:
+        picks = rng.sample(range(total), min(total, _EF1_SAMPLE_CAP))
+    else:  # sample() takes len() of the range, which overflows
+        picks = [rng.randrange(total) for _ in range(_EF1_SAMPLE_CAP)]
+    for i in picks:
         alloc = Allocation(inst.n, _owner_from_index(i, inst.n, inst.m))
         checks["ef1_forms_agree"].record(
             is_ef1(inst, alloc) == _ef1_existential(inst, alloc)

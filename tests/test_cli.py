@@ -137,6 +137,14 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "violations=0" in out and "violations=1" not in out
 
+    def test_facts_past_maxsize_allocations(self, capsys):
+        # 2^70 allocations, far under the cell cap: random.sample cannot take
+        # len() of a range that long, so the EF1 forms sample another way
+        argv = ["verify", "--suite", "facts", "--n", "2", "--m-max", "70",
+                "--trials", "6", "--seed", "1"]
+        assert main(argv) == 0
+        assert "overall: PASS" in capsys.readouterr().out
+
     def test_violations_exit_one(self, capsys, monkeypatch):
         import egalpof.cli as cli
         from egalpof.verify import CheckRecord, VerifyReport

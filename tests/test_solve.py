@@ -1,8 +1,11 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from egalpof import (
     Allocation,
@@ -27,6 +30,7 @@ from egalpof.solve import _balanced_ceiling, _ceilings, _ef1_ceiling
 from egalpof.verify import random_instance
 
 from _oracle import assert_solver_matches_oracle
+from _strategies import instances
 
 
 class TestEnumerateAllocations:
@@ -222,7 +226,7 @@ class TestFilterPrunes:
                 if prop is PropertyFilter.BALANCED:
                     hook = _balanced_ceiling(rows, ceilings[key], key is min)
                 else:
-                    hook = _ef1_ceiling(rows, rest, ceilings[key], key is min, floor)
+                    hook = _ef1_ceiling(rows, rest, ceilings[key], floor)
                 verdicts = []
 
                 def ask(owner, util, k):
@@ -241,6 +245,33 @@ class TestFilterPrunes:
                     assert rejected or some or prop is PropertyFilter.EF1
                     cut += rejected
         assert cut > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(instances(max_m=5, repeat_columns=True), instances()))
+    def test_last_depth_judges_the_allocation(self, inst):
+        # max_welfare admits an improving allocation when the filter's
+        # ceiling at k = m is not -1, after the search has asked about
+        # owner[:1] .. owner[:m-1] in order and cut at the first -1
+        n = inst.n
+        _, rows = scaled_rows(inst)
+        rest, ceilings = _ceilings(rows)
+        for key in (min, sum, prod):
+            hooks = {
+                PropertyFilter.BALANCED: _balanced_ceiling(rows, ceilings[key], key is min),
+                PropertyFilter.EF1: _ef1_ceiling(rows, rest, ceilings[key], [-1]),
+            }
+            for alloc in enumerate_allocations(inst):
+                for prop, hook in hooks.items():
+                    util = [0] * n
+                    for k, a in enumerate(alloc.owner, 1):
+                        util[a - 1] += rows[a - 1][k - 1]
+                        verdict = hook(list(alloc.owner), util, k)
+                        if verdict == -1:
+                            break
+                    admissible = is_ef1(inst, alloc) if prop is PropertyFilter.EF1 else is_balanced(alloc)
+                    assert (verdict != -1) == admissible, (key, prop, alloc.owner)
+                    # an admitted allocation's answer is its own key
+                    assert verdict in (-1, key(util))
 
 
 def _repeated_columns(rng, n, m):
