@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from math import inf, lcm, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -55,6 +55,23 @@ def as_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _identical(keys: Iterable[Hashable]) -> tuple[list[int | None], list[list[int]]]:
+    """The identical-goods rule: goods with equal keys are identical.
+
+    `twins[g]` is the last good before g with g's key, or None; `classes[g]`
+    lists g's class ascending, one list shared by the class, and is empty
+    when no two keys are equal."""
+    twins: list[int | None] = []
+    classes: list[list[int]] = []
+    seen: dict[Hashable, list[int]] = {}
+    for g, key in enumerate(keys):
+        goods = seen.setdefault(key, [])
+        twins.append(goods[-1] if goods else None)
+        goods.append(g)
+        classes.append(goods)
+    return twins, classes if len(seen) < len(classes) else []
+
+
 @dataclass(frozen=True)
 class Instance:
     """n agents with additive utilities over m goods.
@@ -93,29 +110,18 @@ class Instance:
         return range(1, self.m + 1)
 
     @cached_property
-    def _scaled(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    def _scaled(self):
+        """((scale, rows), twins, classes): the scaled matrix and
+        `_identical` of its columns. Built on first use: eagerly it would
+        slow the construction of large instances."""
         # cached_property writes the instance __dict__ directly, so it works
         # on a frozen dataclass without entering __eq__ or __hash__
         scale = 1
         for row in self.u:
             for x in row:
                 scale = lcm(scale, x.denominator)
-        return scale, tuple(tuple(int(x * scale) for x in row) for row in self.u)
-
-    @cached_property
-    def _twins(self) -> tuple[int | None, ...]:
-        # _twins[k]: the last good before good k+1 whose scaled column (every
-        # agent's value) equals good k+1's, 0-based, or None if there is none
-        last: dict[tuple[int, ...], int] = {}
-        twins = []
-        for k, column in enumerate(zip(*self._scaled[1])):
-            twins.append(last.get(column))
-            last[column] = k
-        return tuple(twins)
-
-    @cached_property
-    def _twin_classes(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, _classes(self._twins)))
+        rows = tuple(tuple(int(x * scale) for x in row) for row in self.u)
+        return ((scale, rows), *_identical(zip(*rows)))
 
 
 @dataclass(frozen=True)
@@ -316,7 +322,7 @@ def scaled_rows(inst: Instance) -> tuple[int, tuple[tuple[int, ...], ...]]:
     (or scale**n for products) to recover true values. Computed once per
     instance; every call returns the same object.
     """
-    return inst._scaled
+    return inst._scaled[0]
 
 
 def scaled_utilities(
@@ -367,8 +373,8 @@ def iter_allocations_scaled(
     """
     n, m = inst.n, inst.m
     limit = cap if n**m > cap else inf
-    _, rows = scaled_rows(inst)
-    twins = inst._twins  # good k+1 starts at agent 1, or at its previous twin's owner
+    # good k+1 starts at agent 1, or at its previous twin's owner
+    (_, rows), twins, _ = inst._scaled
     owner = [0] * m
     util = [0] * n
     states = 0
@@ -406,19 +412,6 @@ def iter_allocations_scaled(
             entered = True
 
 
-def _classes(twins: Sequence[int | None]) -> list[list[int]]:
-    """`classes[g]`: the goods of g's class of identical goods, ascending,
-    one list shared by the class; `twins[g]` is g's previous twin. Empty
-    when no good has a twin."""
-    if twins.count(None) == len(twins):
-        return []
-    classes: list[list[int]] = []
-    for g, t in enumerate(twins):
-        classes.append([] if t is None else classes[t])
-        classes[g].append(g)
-    return classes
-
-
 def _orders(owners: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     """Every distinct ordering of `owners`."""
     if not owners:
@@ -435,7 +428,8 @@ def mirror_allocations(
     """Every allocation that permutes identical goods in one of the distinct
     canonical `owners` (each class's owners sorted), in sorted order. Raises
     BudgetExceeded(cap + 1, cap) once it would list more than `cap`."""
-    for g, goods in enumerate(inst._twin_classes):
+    _, _, classes = inst._scaled
+    for g, goods in enumerate(classes):
         if g != goods[0] or len(goods) < 2:
             continue
         spread = []

@@ -2,8 +2,9 @@
 
 Emits one row per (construction, property) pair at fixed exact parameters.
 Every row is recomputed by the exact solver and, where the family has
-a closed form, checked against it during emission; a mismatch raises
-CrossCheckError instead of producing a wrong report.
+a closed form (for thm1 a conjectured one), checked against it during
+emission; a mismatch raises CrossCheckError instead of producing a wrong
+report.
 """
 
 from __future__ import annotations
@@ -58,19 +59,15 @@ def build_report() -> list[ReportRow]:
     rows: list[ReportRow] = []
 
     eps = Fraction(1, 100)
+    n = 3
     props = (PropertyFilter.EF1, PropertyFilter.BALANCED, PropertyFilter.ROUND_ROBIN)
     for m in range(3, 9):
-        for prop, row in zip(props, _rows(gen_thm1(3, m, eps), "thm1", f"eps={eps}", *props)):
-            _check(row.mew == (m - 2) * eps**2, f"thm1 m={m}: unexpected mew {row.mew}")
-            if prop is PropertyFilter.EF1:
-                expected = -(-(m - 1) // 2) * eps**2
-                _check(row.mew_p == expected, f"thm1 m={m}: unexpected mew_ef1 {row.mew_p}")
-            elif prop is PropertyFilter.BALANCED:
-                expected = -(-m // 3) * eps**2
-                _check(row.mew_p == expected, f"thm1 m={m}: unexpected mew_ba {row.mew_p}")
-            else:
-                ba = next(r for r in rows if r.m == m and r.prop == "ba")
-                _check(row.mew_p <= ba.mew_p, f"thm1 m={m}: mew_rr exceeds mew_ba")
+        # conjectured forms, read off solved tables: pof = (m - n + 1) / d
+        divisors = ((m + n - 3) // (n - 1), -(-m // n), (m + n - 2) // n)
+        solved = _rows(gen_thm1(n, m, eps), "thm1", f"eps={eps}", *props)
+        for prop, d, row in zip(props, divisors, solved):
+            _check(row.mew == (m - n + 1) * eps**2, f"thm1 m={m}: unexpected mew {row.mew}")
+            _check(row.pof == Fraction(m - n + 1, d), f"thm1 m={m}: unexpected pof_{prop.value} {row.pof}")
             rows.append(row)
 
     for eps in (Fraction(1, 100), Fraction(1, 1000)):

@@ -15,7 +15,7 @@ from .model import (
     Allocation,
     Instance,
     _check_pair,
-    _classes,
+    _identical,
     mirror_allocations,
     scaled_rows,
     scaled_utilities,
@@ -111,17 +111,17 @@ BY_FREE_AND_UTILITIES = itemgetter(0, 2, 3)
 
 
 def _beats_rule(classes: Sequence[Sequence[int]]) -> Callable[[tuple, tuple], bool]:
-    """`beats(x, y)`: whether, for two class-sorted owner vectors with the
-    same free goods, every completion of x sorts at or before the same
-    completion of y.
+    """`beats(x, y)`: whether, for two owner vectors sorted within each of
+    `classes` (as `_identical` gives them) with the same free goods, every
+    completion of x sorts at or before the same completion of y.
 
     Let x and y first differ within a class C at position p of C's goods.
     Adding the same picks to both never reverses their order there; it
     only moves that difference later, by at most the f free goods of C, so
     it ends at one of C's positions p..p+f. The completions first differ in
     a class whose position p comes no later than the least position p+f
-    over all classes (`_classes`), and x beats y when each such class
-    favours x. Without twins this is x <= y."""
+    over all classes, and x beats y when each such class favours x.
+    Without twins this is x <= y."""
     if not classes:
         return le
 
@@ -168,32 +168,26 @@ def layered_rr_search(
 
     A state extends by every free good tied for the picker's top utility,
     or with `target` only by those the picker owns in `target`. Of a class
-    of identical goods (`Instance._twins`; with `target`, split further by
-    each good's owner there) the picker takes only the lowest-index free
-    one, so a class's taken goods are its first ones, and the owner vector
-    keeps their owners sorted: states that differ only in which twin was
-    taken collapse. Each layer keeps, per `key(state)`, every state that no
-    other state with that key beats (`_beats_rule`): one when no class
-    holds two goods, the lexicographically smallest. States with equal keys
-    must have the same completions (`BY_OWNER`, `BY_FREE_AND_UTILITIES`).
-    `cap` bounds the states kept summed over the layers; BudgetExceeded
-    fires at the first one over it.
+    of identical goods (`_identical` of the columns; with `target`, of each
+    good's column and owner there) the picker takes only the lowest-index
+    free one, so a class's taken goods are its first ones, and the owner
+    vector keeps their owners sorted: states that differ only in which twin
+    was taken collapse. Each layer keeps, per `key(state)`, every state
+    that no other state with that key beats (`_beats_rule`): one when no
+    class holds two goods, the lexicographically smallest. States with
+    equal keys must have the same completions (`BY_OWNER`,
+    `BY_FREE_AND_UTILITIES`). `cap` bounds the states kept summed over the
+    layers; BudgetExceeded fires at the first one over it.
     """
-    _, rows = scaled_rows(inst)
+    (_, rows), twins, classes = inst._scaled
+    if target is not None:  # identical goods with the same owner in `target`
+        twins, classes = _identical(zip(zip(*rows), target))
+    beats = _beats_rule(classes)
     n, m = inst.n, inst.m
     agents = inst.agents()
     again = min(n, max(m - n, 0))
     # each agent's 0-based goods, most valuable first
     ranked = [[g - 1 for g in priority_order(inst, i)] for i in agents]
-    twins = inst._twins
-    if target is not None:  # each good's previous twin with its owner in `target`
-        split = []
-        for g, t in enumerate(twins):
-            while t is not None and target[t] != target[g]:
-                t = twins[t]
-            split.append(t)
-        twins = split
-    beats = _beats_rule(inst._twin_classes if target is None else _classes(twins))
 
     def moves(plan: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (picker, next plan) pairs of pick k from `plan`."""

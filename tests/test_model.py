@@ -6,7 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import given
 
-from _strategies import instances
+from _strategies import instances, instances_with_allocation
 from egalpof import (
     INFINITY,
     Allocation,
@@ -27,7 +27,13 @@ from egalpof import (
     utilitarian_welfare,
     validate_instance,
 )
-from egalpof.model import Instance, iter_allocations_scaled, mirror_allocations, scaled_rows
+from egalpof.model import (
+    Instance,
+    _identical,
+    iter_allocations_scaled,
+    mirror_allocations,
+    scaled_rows,
+)
 from egalpof import gen_thm4, gen_thm5
 from egalpof.solve import Objective, PropertyFilter, max_welfare
 
@@ -233,7 +239,7 @@ def test_iter_allocations_scaled_search_visits_canonical_allocations():
     # goods 1, 3 and 2, 5 are identical pairs (A B A C B); good 4 has no twin
     a, b, c = [2, 1], [1, 1], [0, 0]
     inst = normalize_instance([list(row) for row in zip(a, b, a, c, b)])
-    assert inst._twins == (None, None, 0, None, 1)
+    assert inst._scaled[1] == [None, None, 0, None, 1]
     every = list(itertools.product((1, 2), repeat=5))
     # the oracle scan yields every allocation; the enumerator, with or
     # without a ceiling, only those whose owners do not decrease within
@@ -249,6 +255,39 @@ def test_iter_allocations_scaled_search_visits_canonical_allocations():
     with pytest.raises(BudgetExceeded) as err:
         mirror_allocations(inst, canonical, cap=31)
     assert (err.value.needed, err.value.cap) == (32, 31)
+
+
+def test_identical_twins_and_classes():
+    a, b, c = (2, 1), (1, 1), (0, 0)
+    twins, classes = _identical([a, b, a, c, b])
+    assert twins == [None, None, 0, None, 1]
+    assert classes == [[0, 2], [1, 4], [0, 2], [3], [1, 4]]
+    assert classes[0] is classes[2] and classes[1] is classes[4]
+    # split by owner: goods 1 and 3 share one, goods 2 and 5 do not
+    twins, classes = _identical(zip([a, b, a, c, b], (1, 2, 1, 1, 1)))
+    assert twins == [None, None, 0, None, None]
+    assert classes == [[0, 2], [1], [0, 2], [3], [4]]
+    # no two keys equal: no classes
+    assert _identical([a, b, c]) == ([None, None, None], [])
+    # the instance's record is built on first use
+    inst = normalize_instance([list(row) for row in zip(a, b, a, c, b)])
+    assert "_scaled" not in vars(inst)
+    assert scaled_rows(inst) is inst._scaled[0]
+
+
+@given(instances_with_allocation(max_m=6, max_value=2, repeat_columns=True))
+def test_identical_by_owner_matches_brute_force(case):
+    inst, alloc = case
+    columns = list(zip(*scaled_rows(inst)[1]))
+    keys = list(zip(columns, alloc.owner))
+    twins, classes = _identical(keys)
+    for g, key in enumerate(keys):
+        same = [h for h, other in enumerate(keys) if other == key]
+        earlier = [h for h in same if h < g]
+        assert twins[g] == (earlier[-1] if earlier else None)
+        if classes:
+            assert classes[g] == same
+    assert bool(classes) == (len(set(keys)) < len(keys))
 
 
 def test_iter_allocations_scaled_unbeatable_floor_yields_nothing():
