@@ -6,8 +6,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import itemgetter, le, ne
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .errors import BudgetExceeded, EmptyBundle, PreconditionViolated
 from .model import (
@@ -104,67 +103,26 @@ def run_round_robin(inst: Instance, sched: RRSchedule) -> RRTrace:
     return RRTrace(tuple(picks), Allocation(inst.n, tuple(owner)))
 
 
-# State keys for layered_rr_search, whose states are (plan, owner, free,
-# util). Equal keys must mean equal completions, so a key keeps the plan.
-BY_OWNER = itemgetter(0, 1)
-BY_FREE_AND_UTILITIES = itemgetter(0, 2, 3)
-
-
-def _beats_rule(classes: Sequence[Sequence[int]]) -> Callable[[tuple, tuple], bool]:
-    """`beats(x, y)`: whether, for two owner vectors sorted within each of
-    `classes` (as `_identical` gives them) with the same free goods, every
-    completion of x sorts at or before the same completion of y.
-
-    Let x and y first differ within a class C at position p of C's goods.
-    Adding the same picks to both never reverses their order there; it
-    only moves that difference later, by at most the f free goods of C, so
-    it ends at one of C's positions p..p+f. The completions first differ in
-    a class whose position p comes no later than the least position p+f
-    over all classes, and x beats y when each such class favours x.
-    Without twins this is x <= y."""
-    if not classes:
-        return le
-
-    def beats(x: tuple, y: tuple) -> bool:
-        last = len(x)
-        judged = set()
-        for g in itertools.compress(range(len(x)), map(ne, x, y)):
-            if g > last:
-                break
-            goods = classes[g]
-            if goods[0] in judged:
-                continue
-            if x[g] > y[g]:
-                return False
-            judged.add(goods[0])
-            # the class's free goods are its last ones, still unowned
-            free = sum(not x[h] for h in goods)
-            last = min(last, goods[goods.index(g) + free])
-        return True
-
-    return beats
-
-
 def layered_rr_search(
     inst: Instance,
-    key: Callable[[tuple], Hashable],
+    merge: bool,
     cap: int = DEFAULT_ENUMERATION_CAP,
     target: Sequence[int] | None = None,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The final (owner, per-agent scaled utilities) states of round-robin,
     built one pick per layer.
 
-    A state is a tuple (plan, owner, free, util): the part of the agent
+    A state is a tuple (plan, owner, tag, util): the part of the agent
     ordering that the rest of the run depends on, the partial owner vector
-    (0 = still free), the bitmask of free 0-based goods and the scaled
-    utilities. Of the first-round pickers, the first `again` pick again:
-    min(n, m - n), or none when m <= n. During the first round the plan is
-    the agents that have picked, the first `again` in pick order and the
-    rest sorted, and the next picker is any agent not in it. From the first
-    round's last pick on, the plan is the next min(n, picks left) pickers:
-    the picker is `plan[0]` and the plan rotates by one, so every final
-    plan is (). States thus merge once their futures agree; when m >= 2n
-    the middle rounds still carry the whole first-round order.
+    (0 = still free), the merge tag and the scaled utilities. Of the
+    first-round pickers, the first `again` pick again: min(n, m - n), or
+    none when m <= n. During the first round the plan is the agents that
+    have picked, the first `again` in pick order and the rest sorted, and
+    the next picker is any agent not in it. From the first round's last
+    pick on, the plan is the next min(n, picks left) pickers: the picker is
+    `plan[0]` and the plan rotates by one, so every final plan is ().
+    States thus merge once their futures agree; when m >= 2n the middle
+    rounds still carry the whole first-round order.
 
     A state extends by every free good tied for the picker's top utility,
     or with `target` only by those the picker owns in `target`. Of a class
@@ -172,22 +130,39 @@ def layered_rr_search(
     good's column and owner there) the picker takes only the lowest-index
     free one, so a class's taken goods are its first ones, and the owner
     vector keeps their owners sorted: states that differ only in which twin
-    was taken collapse. Each layer keeps, per `key(state)`, every state
-    that no other state with that key beats (`_beats_rule`): one when no
-    class holds two goods, the lexicographically smallest. States with
-    equal keys must have the same completions (`BY_OWNER`,
-    `BY_FREE_AND_UTILITIES`). `cap` bounds the states kept summed over the
-    layers; BudgetExceeded fires at the first one over it.
+    was taken collapse. Each layer keeps one state per key, the one with
+    the lexicographically smallest owner vector. The key is (plan, owner)
+    or, with `merge`, (plan, tag, utilities). The tag's low m bits are the
+    free goods; with `merge`, its higher bits count, per class of two or
+    more goods and per agent, the class's goods the agent holds, which
+    fixes the owners of those goods. States equal on that key have the same
+    completions, which only fill free goods and sort new pickers into
+    classes, so the owners where they differ stay as they are and their
+    completed vectors compare the way they do. After the last pick no good
+    is free and no class is open, so the merge key drops the tag there.
+    `cap` bounds the states kept summed over the layers; BudgetExceeded
+    fires at the first one over it.
     """
     (_, rows), twins, classes = inst._scaled
     if target is not None:  # identical goods with the same owner in `target`
-        twins, classes = _identical(zip(zip(*rows), target))
-    beats = _beats_rule(classes)
+        twins, _ = _identical(zip(zip(*rows), target))
     n, m = inst.n, inst.m
     agents = inst.agents()
     again = min(n, max(m - n, 0))
     # each agent's 0-based goods, most valuable first
     ranked = [[g - 1 for g in priority_order(inst, i)] for i in agents]
+    # step[a][g]: what agent a + 1 taking good g adds to the tag
+    taken = [-(1 << g) for g in range(m)]
+    step = [taken] * n
+    if merge and classes:  # then count each agent's goods per class
+        step = [taken[:] for _ in agents]
+        bit = m
+        for g, goods in enumerate(classes):
+            if g == goods[0] and len(goods) > 1:
+                for counts in step:
+                    for h in goods:
+                        counts[h] += 1 << bit
+                    bit += len(goods).bit_length()
 
     def moves(plan: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (picker, next plan) pairs of pick k from `plan`."""
@@ -205,16 +180,14 @@ def layered_rr_search(
     layer = [((), (0,) * m, (1 << m) - 1, (0,) * n)]
     states = 0
     for k in range(m):
-        # per key, one unbeaten state in `after` and any others in `rivals`
         after: dict[Hashable, tuple] = {}
-        rivals: dict[Hashable, list[tuple]] = {}
         # one list per plan, so the states of a plan share their next plans
         moves_of: dict[tuple, list] = {}
-        for plan, owner, free, util in layer:
+        for plan, owner, tag, util in layer:
             if plan not in moves_of:
                 moves_of[plan] = moves(plan, k)
             for agent, next_plan in moves_of[plan]:
-                row = rows[agent - 1]
+                row, steps = rows[agent - 1], step[agent - 1]
                 top = None
                 for g in ranked[agent - 1]:
                     if owner[g]:
@@ -237,25 +210,21 @@ def layered_rr_search(
                         j, t = t, twins[t]
                     slots[j] = agent
                     child = tuple(slots)
-                    new = (next_plan, child, free ^ 1 << g, gained)
-                    at = key(new)
+                    new = (next_plan, child, tag + steps[g], gained)
+                    if not merge:
+                        at = (next_plan, child)
+                    elif k < m - 1:
+                        at = (next_plan, new[2], gained)
+                    else:
+                        at = (next_plan, gained)
                     held = after.setdefault(at, new)
                     if held is new:
                         states += 1
-                    elif beats(held[1], child):
-                        continue
-                    else:
-                        others = rivals.get(at, ())
-                        if any(beats(rival[1], child) for rival in others):
-                            continue
-                        kept = [state for state in (held, *others) if not beats(child, state[1])]
-                        states += len(kept) - len(others)
+                        if states > cap:
+                            raise BudgetExceeded(cap + 1, cap)
+                    elif child < held[1]:
                         after[at] = new
-                        if kept or others:
-                            rivals[at] = kept
-                    if states > cap:
-                        raise BudgetExceeded(cap + 1, cap)
-        layer = itertools.chain(after.values(), *rivals.values()) if rivals else after.values()
+        layer = after.values()
     return [(owner, util) for _, owner, _, util in layer]
 
 
@@ -265,15 +234,15 @@ def enumerate_rr_allocations(
     """Every allocation some (ordering, tiebreak) pair can produce, in
     lexicographic owner order.
 
-    Runs `layered_rr_search` keyed by the owner vector. Every final plan is
-    (), so its final states are the outcomes whose classes of identical
-    goods hold sorted owners. Permuting identical goods maps outcomes to
-    outcomes (they tie for every agent, so swapped tiebreaks replay the
-    run), so `mirror_allocations` lists every ordering of each class's
-    owners too. `cap` bounds the search's states and, separately, the
-    outcomes listed.
+    Runs `layered_rr_search` without `merge`, one state per (plan, owner
+    vector). Every final plan is (), so its final states are the outcomes
+    whose classes of identical goods hold sorted owners. Permuting
+    identical goods maps outcomes to outcomes (they tie for every agent, so
+    swapped tiebreaks replay the run), so `mirror_allocations` lists every
+    ordering of each class's owners too. `cap` bounds the search's states
+    and, separately, the outcomes listed.
     """
-    owners = [owner for owner, _ in layered_rr_search(inst, BY_OWNER, cap)]
+    owners = [owner for owner, _ in layered_rr_search(inst, False, cap)]
     return [Allocation(inst.n, owner) for owner in mirror_allocations(inst, owners, cap)]
 
 
@@ -282,7 +251,7 @@ def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP)
     search in which every picker may take only a top free good that it owns
     in `alloc` reaches a complete allocation."""
     _check_pair(inst, alloc)
-    return bool(layered_rr_search(inst, BY_OWNER, cap, alloc.owner))
+    return bool(layered_rr_search(inst, False, cap, alloc.owner))
 
 
 def _ranked_bundles(inst: Instance, alloc: Allocation) -> list[tuple[int, ...]]:
@@ -307,16 +276,14 @@ def balanced_from_mew(inst: Instance, alloc: Allocation) -> Allocation:
     ranked = _ranked_bundles(inst, alloc)
     sizes = [len(b) for b in ranked]
 
-    candidates = sorted(
-        (i for i in range(n) if sizes[i] >= q), key=lambda i: (-sizes[i], i)
-    )
-    keeps_q = set(candidates[:r])
+    # the first r agents get quota q and the rest q - 1: agents holding at
+    # least q goods first, larger bundles first, then the rest by index
+    order = sorted(range(n), key=lambda i: (-sizes[i], i) if sizes[i] >= q else (0, i))
+    target = [q - 1] * n
+    for i in order[:r]:
+        target[i] = q
     # a bundle below quota has at most q - 1 goods, so it is kept whole
-    keep = [list(ranked[i][: q if i in keeps_q else q - 1]) for i in range(n)]
-
-    # the r agents at quota q: every agent keeping q goods, then the rest by index
-    at_q = set((sorted(keeps_q) + [i for i in range(n) if i not in keeps_q])[:r])
-    target = [q if i in at_q else q - 1 for i in range(n)]
+    keep = [list(ranked[i][: target[i]]) for i in range(n)]
 
     kept = {g for goods in keep for g in goods}
     pool = [g for g in inst.goods() if g not in kept]

@@ -21,7 +21,7 @@ from .model import (
     iter_allocations_scaled,
     scaled_rows,
 )
-from .roundrobin import BY_FREE_AND_UTILITIES, layered_rr_search
+from .roundrobin import layered_rr_search
 
 Ceiling = Callable[[list[int], list[int], int], object]
 
@@ -169,13 +169,13 @@ def max_welfare(
     lexicographically ordered stream of candidates, so the witness is the
     lex-first optimum. The key is the objective, or the (filter welfare,
     objective) pair for the welfare-maximizer filters. For round-robin the
-    stream is the sorted final states of `layered_rr_search` keyed by
-    plan, free goods and utilities. States with the same key have the same
-    completions, and a state is dropped only when another with its key
-    gives every completion a lex-smaller or equal class-sorted owner
-    vector; each final state's owner vector is class-sorted, the lex-first
-    of its mirror allocations, so the optimum and its lex-first witness
-    survive both the twin skip and the merging. Otherwise
+    stream is the sorted final states of `layered_rr_search` with `merge`:
+    one per utility vector reached, the lex-first outcome with it. States
+    with the same key have the same completions, and the one kept gives
+    every completion a lex-smaller class-sorted owner vector; each final
+    state's owner vector is class-sorted, the lex-first of its mirror
+    allocations, so the optimum and its lex-first witness survive both the
+    twin skip and the merging. Otherwise
     the stream is the canonical allocations of `iter_allocations_scaled`,
     which keep both as every key and filter is invariant under permuting
     identical goods, in a branch-and-bound search that skips a prefix once a
@@ -196,7 +196,7 @@ def max_welfare(
     judge: Ceiling | None = None  # the filter's ceiling, asked at k = m
     floor = [None]  # the incumbent's key, as the branch-and-bound search reads it
     if prop is PropertyFilter.ROUND_ROBIN:
-        candidates = sorted(layered_rr_search(inst, BY_FREE_AND_UTILITIES, cap))
+        candidates = sorted(layered_rr_search(inst, True, cap))
     else:
         rest, ceilings = _ceilings(rows)
         ceiling = ceilings[value]

@@ -5,8 +5,10 @@ allocation `enumerate_allocations` yields, a plain `itertools.product` loop
 that shares no code with the search kernel (`iter_allocations_scaled`),
 evaluates each welfare in `Fraction`s and keeps, per filter, the
 allocations the filter admits. The round-robin allocations are those
-`run_round_robin` produces over every ordering and every profile of
-utility-refining priorities.
+`every_top_pick_outcome` reaches: per ordering, every sequence of picks in
+which each picker takes a free good it values most. `every_schedule_outcome`,
+which runs `run_round_robin` over every ordering and every profile of
+utility-refining priorities, gives the same set and is kept to check that.
 """
 
 import itertools
@@ -55,6 +57,25 @@ def every_schedule_outcome(inst):
             yield ordering, trace.allocation
 
 
+def every_top_pick_outcome(inst):
+    """The owner vectors reached, for some ordering of the agents, when each
+    picker may take any free good that it values most."""
+    outcomes = set()
+    for ordering in itertools.permutations(inst.agents()):
+        layer = {(0,) * inst.m}
+        for k in range(inst.m):
+            agent = ordering[k % inst.n]
+            row = inst.row(agent)
+            picked = set()
+            for owner in layer:
+                free = [g for g in range(inst.m) if not owner[g]]
+                top = max(row[g] for g in free)
+                picked.update(owner[:g] + (agent,) + owner[g + 1 :] for g in free if row[g] == top)
+            layer = picked
+        outcomes |= layer
+    return outcomes
+
+
 def exhaustive_optima(inst, props=tuple(PropertyFilter)):
     """{(objective, filter): (value, lex-first witness)} for every objective
     and every filter in `props`."""
@@ -66,8 +87,8 @@ def exhaustive_optima(inst, props=tuple(PropertyFilter)):
         return [v == top for v in values]
 
     def round_robin():
-        outcomes = {alloc for _, alloc in every_schedule_outcome(inst)}
-        return [a in outcomes for a in allocs]
+        outcomes = every_top_pick_outcome(inst)
+        return [a.owner in outcomes for a in allocs]
 
     admitted = {
         PropertyFilter.NONE: lambda: [True] * len(allocs),

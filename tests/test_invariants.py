@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracle import WELFARE, assert_solver_matches_oracle, every_schedule_outcome
+from _oracle import (
+    WELFARE,
+    assert_solver_matches_oracle,
+    every_schedule_outcome,
+    every_top_pick_outcome,
+)
 from _strategies import instances, instances_with_allocation
 from egalpof import (
     Objective,
@@ -131,6 +136,16 @@ def test_rr_search_matches_every_schedule_on_repeated_columns(inst):
 
 
 @settings(max_examples=100, deadline=None)
+@given(st.one_of(instances(max_m=4, max_value=2), instances(max_m=4, max_value=3, repeat_columns=True)))
+def test_rr_oracles_agree(inst):
+    # a top pick is the good that leaves first among the picker's free goods
+    # of that value, so ranking each utility class by pick time gives one
+    # priority profile that replays every run of top picks
+    expected = {alloc.owner for _, alloc in every_schedule_outcome(inst)}
+    assert every_top_pick_outcome(inst) == expected
+
+
+@settings(max_examples=100, deadline=None)
 @given(st.one_of(instances(max_m=5, max_value=2, repeat_columns=True), instances()))
 def test_pareto_matches_brute_force(inst):
     # the kernel scans canonical allocations and lists their mirrors; the
@@ -225,25 +240,23 @@ def test_pruned_solver_matches_exhaustive(inst):
 def test_search_matches_exhaustive_on_repeated_columns(inst):
     # the search visits one canonical allocation per class of identical
     # goods; value and witness still equal the exhaustive scan's
-    # (rr is checked at max_m=4 below: at m=6 the oracle runs too many
-    # priority profiles)
-    props = tuple(p for p in PropertyFilter if p is not PropertyFilter.ROUND_ROBIN)
-    assert_solver_matches_oracle(inst, props)
+    assert_solver_matches_oracle(inst)
 
 
 @settings(max_examples=60, deadline=None)
 @given(instances(max_m=4, max_value=3, repeat_columns=True))
 def test_rr_search_matches_exhaustive_on_repeated_columns(inst):
-    # each layer keeps every state that no state with its key beats, so the
-    # lex-first witness survives although twins collapse
+    # the solver's key holds the owners of identical goods until the last
+    # pick, so the lex-first witness survives although twins collapse
     assert_solver_matches_oracle(inst, (PropertyFilter.ROUND_ROBIN,))
 
 
 def assert_rr_matches_enumerated_outcomes(inst):
-    """Past the schedule oracle's reach: `enumerate_rr_allocations` keys its
-    states by owner vector, so no key holds two states, and the lex-first
-    optimum over its sorted outcomes is the reference for the keep-unbeaten
-    rule of the solver's (plan, free goods, utilities) key."""
+    """Past the exhaustive oracle's reach: `enumerate_rr_allocations` keys
+    its states by owner vector, so no key holds two states, and the
+    lex-first optimum over its sorted outcomes is the reference for the
+    solver's merge key (plan, free goods, utilities, owners of identical
+    goods)."""
     outcomes = enumerate_rr_allocations(inst)
     reached = {agent_utilities(inst, alloc) for alloc in outcomes}
     for objective, welfare in WELFARE.items():
@@ -262,8 +275,8 @@ def assert_rr_matches_enumerated_outcomes(inst):
     )
 )
 def test_rr_search_matches_enumerated_outcomes(inst):
-    # 0/1 values with tied agents are where keeping one state per key
-    # returns a wrong witness
+    # 0/1 values with tied agents are where a merge key without the owners
+    # of identical goods returns a wrong witness
     assert_rr_matches_enumerated_outcomes(inst)
 
 
@@ -275,9 +288,9 @@ def test_rr_search_matches_enumerated_outcomes(inst):
     ],
 )
 def test_rr_search_matches_enumerated_outcomes_pinned(rows):
-    # keeping one state per key, or reading the last position a class's
-    # first difference can reach one good too early, returns a wrong
-    # egalitarian witness on both
+    # leaving the owners of identical goods out of the merge key returns a
+    # wrong egalitarian witness on both, and keeping them after the last
+    # pick a wrong `explored`
     assert_rr_matches_enumerated_outcomes(normalize_instance(rows))
 
 

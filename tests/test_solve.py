@@ -150,10 +150,10 @@ class TestMaxWelfare:
         assert result.explored == 1
 
     def test_round_robin_keeps_unbeaten_states(self):
-        # goods 2-4 are twins for agents 1-2; keeping only the smallest
-        # class-sorted owner vector per key returns (1, 1, 2, 4, 3) for the
-        # egalitarian key, as the same later picks move where two sorted
-        # classes first differ; the witnesses are the schedule oracle's
+        # goods 2-4 are twins for agents 1-2; a merge key without the owners
+        # of those goods returns (1, 1, 2, 4, 3) for the egalitarian key, as
+        # the same later picks move where two sorted classes first differ;
+        # the witnesses are the exhaustive oracle's
         inst = normalize_instance([[0, 1, 1, 1, 0], [0, 1, 1, 1, 0], [0, 1, 0, 0, 0], [0, 0, 1, 1, 0]])
         expected = {
             Objective.EGALITARIAN: (F(0), (1, 1, 2, 3, 4)),
@@ -163,6 +163,29 @@ class TestMaxWelfare:
         for objective, (value, owner) in expected.items():
             result = max_welfare(inst, objective, PropertyFilter.ROUND_ROBIN)
             assert (result.value, result.witness.owner, result.explored) == (value, owner, 7)
+        assert_solver_matches_oracle(inst, (PropertyFilter.ROUND_ROBIN,))
+
+    @pytest.mark.parametrize(
+        "family, n, m, states",
+        [
+            ("thm1", 3, 12, 66),
+            ("thm1", 3, 16, 87),
+            ("thm1", 3, 20, 117),
+            ("thm1", 3, 30, 174),
+            ("thm1", 3, 40, 231),
+            ("thm1", 5, 20, 1_850),
+            ("tied", 6, 6, 63),
+            ("tied", 4, 8, 105),
+        ],
+    )
+    def test_round_robin_kept_states(self, family, n, m, states):
+        # the states the rr solve keeps summed over its layers, pinned so a
+        # change to the merge key shows: the search needs exactly this cap
+        inst = gen_thm1(n, m) if family == "thm1" else _tied(n, m)
+        max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.ROUND_ROBIN, cap=states)
+        with pytest.raises(BudgetExceeded) as err:
+            max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.ROUND_ROBIN, cap=states - 1)
+        assert (err.value.needed, err.value.cap) == (states, states - 1)
 
     @pytest.mark.parametrize(
         "prop, pof", [(PropertyFilter.EF1, F(5, 3)), (PropertyFilter.BALANCED, F(5, 2))]
