@@ -58,18 +58,16 @@ def as_rational(value) -> Fraction:
 def _identical(keys: Iterable[Hashable]) -> tuple[list[int | None], list[list[int]]]:
     """The identical-goods rule: goods with equal keys are identical.
 
-    `twins[g]` is the last good before g with g's key, or None; `classes[g]`
-    lists g's class ascending, one list shared by the class, and is empty
-    when no two keys are equal."""
+    `twins[g]` is the last good before g with g's key, or None; `classes`
+    lists each class of two or more goods ascending, in order of its first
+    good, and is empty when no two keys are equal."""
     twins: list[int | None] = []
-    classes: list[list[int]] = []
     seen: dict[Hashable, list[int]] = {}
     for g, key in enumerate(keys):
         goods = seen.setdefault(key, [])
         twins.append(goods[-1] if goods else None)
         goods.append(g)
-        classes.append(goods)
-    return twins, classes if len(seen) < len(classes) else []
+    return twins, [goods for goods in seen.values() if len(goods) > 1]
 
 
 @dataclass(frozen=True)
@@ -429,9 +427,7 @@ def mirror_allocations(
     canonical `owners` (each class's owners sorted), in sorted order. Raises
     BudgetExceeded(cap + 1, cap) once it would list more than `cap`."""
     _, _, classes = inst._scaled
-    for g, goods in enumerate(classes):
-        if g != goods[0] or len(goods) < 2:
-            continue
+    for goods in classes:
         spread = []
         for owner in owners:
             for order in _orders(itemgetter(*goods)(owner)):

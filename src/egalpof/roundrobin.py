@@ -19,7 +19,7 @@ from .model import (
     scaled_rows,
     scaled_utilities,
 )
-from .properties import envy_graph, strictly_dominates, weakly_dominates
+from .properties import envy_graph, weakly_dominates
 
 
 @dataclass(frozen=True)
@@ -157,12 +157,11 @@ def layered_rr_search(
     if merge and classes:  # then count each agent's goods per class
         step = [taken[:] for _ in agents]
         bit = m
-        for g, goods in enumerate(classes):
-            if g == goods[0] and len(goods) > 1:
-                for counts in step:
-                    for h in goods:
-                        counts[h] += 1 << bit
-                    bit += len(goods).bit_length()
+        for goods in classes:
+            for counts in step:
+                for h in goods:
+                    counts[h] += 1 << bit
+                bit += len(goods).bit_length()
 
     def moves(plan: tuple[int, ...], k: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (picker, next plan) pairs of pick k from `plan`."""
@@ -256,18 +255,20 @@ def is_rr(inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP)
 
 def _ranked_bundles(inst: Instance, alloc: Allocation) -> list[tuple[int, ...]]:
     """Each agent's bundle, most valuable good first, in her priority order."""
+    _, rows = scaled_rows(inst)
+    # the sort is stable on ascending goods, so ties keep index order
     return [
-        tuple(g for g in priority_order(inst, i) if alloc.owner[g - 1] == i)
-        for i in inst.agents()
+        tuple(sorted(bundle, key=lambda g: -row[g - 1]))
+        for row, bundle in zip(rows, alloc.bundles())
     ]
 
 
 def balanced_from_mew(inst: Instance, alloc: Allocation) -> Allocation:
     """Round any allocation into a balanced one, each agent keeping her most
     valuable q = ceil(m/n) goods (at most r = m mod n agents may keep q,
-    larger original bundles first, ties by agent index). Leftover goods fill
-    agents below quota in ascending index. Guarantees every agent keeps at
-    least 1/n of her original bundle value.
+    larger original bundles first, ties by agent index). The free goods, in
+    ascending order, fill agents below quota in ascending index. Guarantees
+    every agent keeps at least 1/n of her original bundle value.
     """
     _check_pair(inst, alloc)
     n, m = inst.n, inst.m
@@ -283,19 +284,15 @@ def balanced_from_mew(inst: Instance, alloc: Allocation) -> Allocation:
     for i in order[:r]:
         target[i] = q
     # a bundle below quota has at most q - 1 goods, so it is kept whole
-    keep = [list(ranked[i][: target[i]]) for i in range(n)]
-
-    kept = {g for goods in keep for g in goods}
-    pool = [g for g in inst.goods() if g not in kept]
-    for i in range(n):
-        while len(keep[i]) < target[i]:
-            keep[i].append(pool.pop(0))
-    assert not pool
-
     owner = [0] * m
     for i in range(n):
-        for g in keep[i]:
+        for g in ranked[i][: target[i]]:
             owner[g - 1] = i + 1
+    # the quotas sum to m, so the free goods fill them exactly
+    free = iter([g for g in range(m) if not owner[g]])
+    for i in range(n):
+        for _ in range(target[i] - sizes[i]):  # empty for a bundle at or over quota
+            owner[next(free)] = i + 1
     return Allocation(n, tuple(owner))
 
 
@@ -305,11 +302,16 @@ def dominating_rr_one_good(
     """For m = n and a one-good-each allocation, return a round-robin
     producible allocation weakly dominating it, plus a schedule replaying it.
 
-    Picks a maximal element (under strong domination) of the finite set of
-    one-good-each allocations weakly dominating the input, scanning
-    lexicographically; its envy graph is then acyclic, and running
-    round-robin in reverse topological order with each agent's own good
-    boosted within its tie class reproduces it exactly.
+    Scans the one-good-each allocations once, lexicographically, moving to
+    each one whose utilities strictly dominate the current ones. That meets
+    the chain of restarting the scan after every move, where c_(i+1) is the
+    lex-first strict dominator of c_i (c_0 the input): a strict dominator
+    of c_i also strictly dominates c_(i-1), of which c_i was the lex-first,
+    so it comes after c_i. The chain ends at a maximal element (under
+    strong domination) of the allocations weakly dominating the input; its
+    envy graph is then acyclic, and running round-robin in reverse
+    topological order with each agent's own good boosted within its tie
+    class reproduces it exactly.
     """
     _check_pair(inst, alloc)
     if inst.m != inst.n:
@@ -318,24 +320,13 @@ def dominating_rr_one_good(
         raise PreconditionViolated("every agent must hold exactly one good")
 
     _, rows = scaled_rows(inst)
-    base = scaled_utilities(rows, inst.n, alloc.owner)
-    dominating = []
+    current, cur_util = alloc.owner, scaled_utilities(rows, inst.n, alloc.owner)
     # permutations of the agents = owner vectors of all one-good-each
     # allocations, already in lexicographic order
     for p in itertools.permutations(inst.agents()):
         util = scaled_utilities(rows, inst.n, p)
-        if weakly_dominates(util, base):
-            dominating.append((p, util))
-
-    current, cur_util = alloc.owner, base
-    improved = True
-    while improved:
-        improved = False
-        for cand, util in dominating:
-            if strictly_dominates(util, cur_util):
-                current, cur_util = cand, util
-                improved = True
-                break
+        if weakly_dominates(util, cur_util) and util != cur_util:
+            current, cur_util = p, util
 
     result = Allocation(inst.n, current)
     order = envy_graph(inst, result).topological_order()

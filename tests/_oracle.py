@@ -9,16 +9,22 @@ allocations the filter admits. The round-robin allocations are those
 which each picker takes a free good it values most. `every_schedule_outcome`,
 which runs `run_round_robin` over every ordering and every profile of
 utility-refining priorities, gives the same set and is kept to check that.
+`restart_dominator` is the reference for `dominating_rr_one_good`.
 """
 
 import itertools
+from operator import ge
 
 from egalpof import (
+    Allocation,
     Objective,
     PropertyFilter,
     RRSchedule,
+    agent_utilities,
+    default_schedule,
     egalitarian_welfare,
     enumerate_allocations,
+    envy_graph,
     is_balanced,
     is_ef1,
     max_welfare,
@@ -74,6 +80,38 @@ def every_top_pick_outcome(inst):
             layer = picked
         outcomes |= layer
     return outcomes
+
+
+def restart_dominator(inst, alloc):
+    """The one-good dominator by first improvement, with `Fraction`
+    utilities: of the one-good-each allocations weakly dominating `alloc`,
+    move to the lex-first whose utilities strictly dominate the current
+    ones and restart the scan after every move. Returns the allocation and
+    the schedule that replays it: reverse topological order of its envy
+    graph, each agent's own good boosted."""
+
+    def utilities(owner):
+        return agent_utilities(inst, Allocation(inst.n, owner))
+
+    base = utilities(alloc.owner)
+    dominating = []
+    for p in itertools.permutations(inst.agents()):
+        util = utilities(p)
+        if all(map(ge, util, base)):
+            dominating.append((p, util))
+    current, cur_util = alloc.owner, base
+    improved = True
+    while improved:
+        improved = False
+        for cand, util in dominating:
+            if all(map(ge, util, cur_util)) and util != cur_util:
+                current, cur_util = cand, util
+                improved = True
+                break
+    result = Allocation(inst.n, current)
+    ordering = tuple(reversed(envy_graph(inst, result).topological_order()))
+    prefer = {a: j + 1 for j, a in enumerate(current)}
+    return result, default_schedule(inst, ordering=ordering, prefer=prefer)
 
 
 def exhaustive_optima(inst, props=tuple(PropertyFilter)):

@@ -1,5 +1,6 @@
 """Property-based checks of the exact-arithmetic invariants."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -11,9 +12,11 @@ from _oracle import (
     assert_solver_matches_oracle,
     every_schedule_outcome,
     every_top_pick_outcome,
+    restart_dominator,
 )
 from _strategies import instances, instances_with_allocation
 from egalpof import (
+    Allocation,
     Objective,
     PropertyFilter,
     balanced_from_mew,
@@ -21,6 +24,7 @@ from egalpof import (
     agent_utilities,
     default_schedule,
     dominates,
+    dominating_rr_one_good,
     egalitarian_welfare,
     enumerate_allocations,
     enumerate_rr_allocations,
@@ -196,6 +200,22 @@ def test_rr_rounding_welfare_floor(pair):
     assert (2 * inst.n - 1) * egalitarian_welfare(inst, result) >= egalitarian_welfare(
         inst, alloc
     )
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 5).flatmap(lambda n: instances(n, n, n, n, max_value=3)))
+def test_dominator_matches_restart_scan(inst):
+    # one forward scan of the matchings meets the chain of first strict
+    # improvements that restarting after every move takes
+    matchings = {
+        p: agent_utilities(inst, Allocation(inst.n, p))
+        for p in itertools.permutations(inst.agents())
+    }
+    for start in matchings:
+        found, sched = dominating_rr_one_good(inst, Allocation(inst.n, start))
+        assert (found, sched) == restart_dominator(inst, Allocation(inst.n, start))
+        util = matchings[found.owner]
+        assert not any(strictly_dominates(v, util) for v in matchings.values())
 
 
 @settings(max_examples=40, deadline=None)

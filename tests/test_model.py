@@ -261,12 +261,12 @@ def test_identical_twins_and_classes():
     a, b, c = (2, 1), (1, 1), (0, 0)
     twins, classes = _identical([a, b, a, c, b])
     assert twins == [None, None, 0, None, 1]
-    assert classes == [[0, 2], [1, 4], [0, 2], [3], [1, 4]]
-    assert classes[0] is classes[2] and classes[1] is classes[4]
+    # each class of two or more goods once, in order of its first good
+    assert classes == [[0, 2], [1, 4]]
     # split by owner: goods 1 and 3 share one, goods 2 and 5 do not
     twins, classes = _identical(zip([a, b, a, c, b], (1, 2, 1, 1, 1)))
     assert twins == [None, None, 0, None, None]
-    assert classes == [[0, 2], [1], [0, 2], [3], [4]]
+    assert classes == [[0, 2]]
     # no two keys equal: no classes
     assert _identical([a, b, c]) == ([None, None, None], [])
     # the instance's record is built on first use
@@ -281,12 +281,15 @@ def test_identical_by_owner_matches_brute_force(case):
     columns = list(zip(*scaled_rows(inst)[1]))
     keys = list(zip(columns, alloc.owner))
     twins, classes = _identical(keys)
+    expected = []
     for g, key in enumerate(keys):
         same = [h for h, other in enumerate(keys) if other == key]
         earlier = [h for h in same if h < g]
         assert twins[g] == (earlier[-1] if earlier else None)
-        if classes:
-            assert classes[g] == same
+        if len(same) > 1 and not earlier:
+            expected.append(same)
+    # every class of two or more goods once, ascending, by first good
+    assert classes == expected
     assert bool(classes) == (len(set(keys)) < len(keys))
 
 
