@@ -66,7 +66,6 @@ from .solve import (
     Objective,
     PropertyFilter,
     SolveResult,
-    enumerate_allocations,
     max_welfare,
     price_of_fairness,
 )

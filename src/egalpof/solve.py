@@ -6,12 +6,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 from math import prod
 from operator import add, gt, sub
-from typing import Callable, Iterator
+from typing import Callable
 
-from .errors import BudgetExceeded
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
@@ -55,16 +54,6 @@ class SolveResult:
     explored: int
 
 
-def enumerate_allocations(
-    inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
-) -> Iterator[Allocation]:
-    """All n**m allocations in lexicographic order: the test oracle's plain scan."""
-    if inst.n**inst.m > cap:
-        raise BudgetExceeded(inst.n**inst.m, cap)
-    for owner in product(inst.agents(), repeat=inst.m):
-        yield Allocation(inst.n, owner)
-
-
 def _ceilings(rows: tuple[tuple[int, ...], ...]) -> tuple[list, dict[Callable, Ceiling]]:
     """`rest[k][i]`, agent i+1's value for goods k+1..m, and `ceilings[f]`,
     which bounds f from above over every allocation whose goods 1..k give
@@ -81,6 +70,35 @@ def _ceilings(rows: tuple[tuple[int, ...], ...]) -> tuple[list, dict[Callable, C
         # no split beats an equal one for Schur-concave prod; // is safe as products are integers
         prod: lambda _, p, k: min(prod(map(add, p, rest[k])), (sum(p) + top[k]) ** n // n**n),
     }
+
+
+def _count_ceiling(rows: tuple[tuple[int, ...], ...], ceiling: Ceiling, floor: list) -> Ceiling:
+    """The egalitarian key passes f = floor[0] only if every agent i with
+    p_i <= f gains f + 1 - p_i, which takes at least ceil((f + 1 - p_i) /
+    M_i) of the m - k remaining goods, M_i being its largest value among
+    them. When these counts sum past m - k, every completion's key is at
+    most f, so f bounds them. Every other prefix gets `ceiling`, the `min`
+    ceiling of all remaining goods to each agent; the count is not taken
+    when that ceiling is already at or below f (so M_i > 0 wherever it is
+    taken) or when no agent is at or below f."""
+    m = len(rows[0])
+    suffix_max = lambda values: list(accumulate(reversed(values), max, initial=0))[::-1]
+    top = []  # top[k][i]: agent i+1's largest value among goods k+1..m, built on first use
+
+    def count(owner, util, k):
+        bound = ceiling(owner, util, k)
+        f = floor[0]
+        if bound <= f or min(util) > f:
+            return bound
+        if not top:
+            top[:] = zip(*map(suffix_max, rows))
+        need = 0
+        for p, t in zip(util, top[k]):
+            if p <= f:
+                need -= (p - f - 1) // t  # ceil((f + 1 - p) / t)
+        return f if need > m - k else bound
+
+    return count
 
 
 # The filter ceilings below return -1, under every key, for a prefix that no
@@ -180,9 +198,11 @@ def max_welfare(
     which keep both as every key and filter is invariant under permuting
     identical goods, in a branch-and-bound search that skips a prefix once a
     ceiling on the key over its completions is at or below the incumbent's,
-    so nothing skipped could improve. For EF1 and balancedness the floor
-    starts at -1, so every prefix is asked, and the filter's ceiling also
-    skips each prefix that no admissible allocation extends. Asked at k = m
+    so nothing skipped could improve. The unfiltered egalitarian solve also
+    counts the goods its lowest agents need (`_count_ceiling`). For EF1 and
+    balancedness the floor starts at -1, so every prefix is asked, and the
+    filter's ceiling also skips each prefix that no admissible allocation
+    extends. Asked at k = m
     about an improving allocation, whose key is its own ceiling, it is -1
     exactly when the filter rejects it. `cap` bounds every search. `pruned`
     is accepted and ignored: every solve is pruned.
@@ -205,6 +225,8 @@ def max_welfare(
             key = lambda util: (welfare(util), value(util))
             first, then = ceilings[welfare], ceiling
             ceiling = lambda owner, prefix, k: (first(owner, prefix, k), then(owner, prefix, k))
+        elif value is min and prop is PropertyFilter.NONE:
+            ceiling = _count_ceiling(rows, ceiling, floor)
         elif m and prop is PropertyFilter.EF1:  # m = 0 has no last good to read
             ceiling = judge = _ef1_ceiling(rows, rest, ceiling, floor)
             floor[0] = -1  # under every key, so every prefix entered is asked

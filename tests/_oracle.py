@@ -16,14 +16,15 @@ import itertools
 from operator import ge
 
 from egalpof import (
+    DEFAULT_ENUMERATION_CAP,
     Allocation,
+    BudgetExceeded,
     Objective,
     PropertyFilter,
     RRSchedule,
     agent_utilities,
     default_schedule,
     egalitarian_welfare,
-    enumerate_allocations,
     envy_graph,
     is_balanced,
     is_ef1,
@@ -38,6 +39,15 @@ WELFARE = {
     Objective.UTILITARIAN: utilitarian_welfare,
     Objective.NASH: nash_welfare,
 }
+
+
+def enumerate_allocations(inst, cap=DEFAULT_ENUMERATION_CAP):
+    """All n**m allocations in lexicographic order, refused up front when
+    n**m > cap."""
+    if inst.n**inst.m > cap:
+        raise BudgetExceeded(inst.n**inst.m, cap)
+    for owner in itertools.product(inst.agents(), repeat=inst.m):
+        yield Allocation(inst.n, owner)
 
 
 def _refining_priorities(inst, agent):

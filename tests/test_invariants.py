@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from _oracle import (
     WELFARE,
     assert_solver_matches_oracle,
+    enumerate_allocations,
     every_schedule_outcome,
     every_top_pick_outcome,
     restart_dominator,
@@ -26,7 +27,6 @@ from egalpof import (
     dominates,
     dominating_rr_one_good,
     egalitarian_welfare,
-    enumerate_allocations,
     enumerate_rr_allocations,
     envy_graph,
     is_balanced,

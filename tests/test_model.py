@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 from hypothesis import given
 
+from _oracle import enumerate_allocations
 from _strategies import instances, instances_with_allocation
 from egalpof import (
     INFINITY,
@@ -20,7 +21,6 @@ from egalpof import (
     agent_utilities,
     bundle_utility,
     egalitarian_welfare,
-    enumerate_allocations,
     extended_ratio,
     nash_welfare,
     normalize_instance,

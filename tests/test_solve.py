@@ -13,7 +13,6 @@ from egalpof import (
     INFINITY,
     Objective,
     PropertyFilter,
-    enumerate_allocations,
     extended_ratio,
     gen_thm1,
     gen_thm5,
@@ -25,11 +24,11 @@ from egalpof import (
     price_of_fairness,
     validate_instance,
 )
-from egalpof.model import iter_allocations_scaled, scaled_rows
-from egalpof.solve import _balanced_ceiling, _ceilings, _ef1_ceiling
+from egalpof.model import iter_allocations_scaled, scaled_rows, scaled_utilities
+from egalpof.solve import _balanced_ceiling, _ceilings, _count_ceiling, _ef1_ceiling
 from egalpof.verify import random_instance
 
-from _oracle import assert_solver_matches_oracle
+from _oracle import assert_solver_matches_oracle, enumerate_allocations
 from _strategies import instances
 
 
@@ -107,13 +106,14 @@ class TestMaxWelfare:
 
     def test_pruned_explored_counts(self):
         # allocations the default search reaches, pinned so a change to the
-        # pruning order shows
+        # pruning order shows. They were 36, 30 and 218 before the
+        # egalitarian unfiltered solve gained its goods-count cut
         rng = random.Random(5)
         explored = [
             max_welfare(random_instance(rng, 2, 12), Objective.EGALITARIAN).explored
             for _ in range(3)
         ]
-        assert explored == [36, 30, 218]
+        assert explored == [34, 30, 48]
 
     def test_budget(self):
         # 2**30 allocations: the search is refused only when its count of
@@ -200,6 +200,40 @@ class TestMaxWelfare:
 
 def _tied(n, m):
     return validate_instance([[F(1, m)] * m] * n)
+
+
+class TestCountCeiling:
+    """The egalitarian unfiltered solve cuts a prefix when the agents at or
+    below the incumbent cannot all pass it with the remaining goods."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(instances(max_m=6, repeat_columns=True), instances()))
+    def test_never_below_best_completion(self, inst):
+        # under floors around and at the best completion's key, the ceiling
+        # is never below that key, so the search cuts no prefix that some
+        # completion could lift past its floor
+        n, m = inst.n, inst.m
+        _, rows = scaled_rows(inst)
+        best = {}
+        for owner in itertools.product(range(1, n + 1), repeat=m):
+            key = min(scaled_utilities(rows, n, owner))
+            for k in range(1, m):
+                best[owner[:k]] = max(best.get(owner[:k], key), key)
+        floor = [None]
+        _, ceilings = _ceilings(rows)
+        ceiling = _count_ceiling(rows, ceilings[min], floor)
+        for prefix, top in best.items():
+            util = scaled_utilities(rows, n, prefix)
+            for f in (-1, 0, top - 1, top, top + 1):
+                floor[0] = f
+                assert ceiling(list(prefix), util, len(prefix)) >= top, (prefix, f)
+
+    def test_tie_free_4x12(self):
+        # no two goods are identical, and the all-remaining-goods ceiling
+        # alone needs more than the default cap of 2,000,000 states here
+        rows = [[(i + 2) * (j + 3) * 7919 % 97 + 1 for j in range(12)] for i in range(4)]
+        result = max_welfare(normalize_instance(rows), Objective.EGALITARIAN)
+        assert (result.value, result.witness.owner) == (F(92, 277), (1, 4, 4, 1, 3, 3, 4, 1, 2, 3, 2, 2))
 
 
 class TestFilterPrunes:
