@@ -108,15 +108,22 @@ def is_ef1(inst: Instance, alloc: Allocation) -> bool:
     """
     _check_pair(inst, alloc)
     _, rows = scaled_rows(inst)
-    bundles = alloc.bundles()
-    for i in range(inst.n):
-        row = rows[i]
-        own = sum(row[g - 1] for g in bundles[i])
-        for j in range(inst.n):
-            if i == j or not bundles[j]:
-                continue
-            values = [row[g - 1] for g in bundles[j]]
-            if own < sum(values) - max(values):
+    owner = alloc.owner
+    size = inst.n + 1
+    for i, row in enumerate(rows, start=1):
+        # one pass: i's value of each bundle and of its best good, None for
+        # an empty bundle
+        value = [0] * size
+        best = [None] * size
+        for a, x in zip(owner, row):
+            value[a] += x
+            b = best[a]
+            if b is None or x > b:
+                best[a] = x
+        own = value[i]
+        for j in range(1, size):
+            b = best[j]
+            if b is not None and j != i and own < value[j] - b:
                 return False
     return True
 

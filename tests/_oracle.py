@@ -10,18 +10,28 @@ which each picker takes a free good it values most. `every_schedule_outcome`,
 which runs `run_round_robin` over every ordering and every profile of
 utility-refining priorities, gives the same set and is kept to check that.
 `restart_dominator` is the reference for `dominating_rr_one_good`.
+`fraction_validate_instance` and `fraction_normalize_instance` check and
+normalize rows with `Fraction` sums, the reference for the integer checks
+of `validate_instance` and `normalize_instance`. `ef1_by_pairs` is the
+pair-by-pair reference for `is_ef1`.
 """
 
 import itertools
+from fractions import Fraction
 from operator import ge
 
 from egalpof import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
     BudgetExceeded,
+    Instance,
+    NegativeUtility,
     Objective,
     PropertyFilter,
     RRSchedule,
+    RowSumNotOne,
+    TooFewAgents,
+    ZeroRow,
     agent_utilities,
     default_schedule,
     egalitarian_welfare,
@@ -33,6 +43,7 @@ from egalpof import (
     run_round_robin,
     utilitarian_welfare,
 )
+from egalpof.model import _to_rows
 
 WELFARE = {
     Objective.EGALITARIAN: egalitarian_welfare,
@@ -48,6 +59,54 @@ def enumerate_allocations(inst, cap=DEFAULT_ENUMERATION_CAP):
         raise BudgetExceeded(inst.n**inst.m, cap)
     for owner in itertools.product(inst.agents(), repeat=inst.m):
         yield Allocation(inst.n, owner)
+
+
+def fraction_validate_instance(raw):
+    """Nonnegativity and row sums of 1, checked with `Fraction` sums."""
+    rows = _to_rows(raw)
+    n = len(rows)
+    if n < 2:
+        raise TooFewAgents(n)
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if x < 0:
+                raise NegativeUtility(i, j)
+        total = sum(row, Fraction(0))
+        if total != 1:
+            raise RowSumNotOne(i, total)
+    return Instance(n, len(rows[0]), tuple(tuple(row) for row in rows))
+
+
+def fraction_normalize_instance(raw):
+    """Each row divided by its `Fraction` sum, then validated."""
+    rows = _to_rows(raw)
+    if len(rows) < 2:
+        raise TooFewAgents(len(rows))
+    scaled = []
+    for i, row in enumerate(rows, start=1):
+        for j, x in enumerate(row, start=1):
+            if x < 0:
+                raise NegativeUtility(i, j)
+        total = sum(row, Fraction(0))
+        if total == 0:
+            raise ZeroRow(i)
+        scaled.append([x / total for x in row])
+    return fraction_validate_instance(scaled)
+
+
+def ef1_by_pairs(inst, alloc):
+    """EF1 pair by pair, in `Fraction`s: for each i != j whose bundle is not
+    empty, i values its own bundle at least as much as j's less the good of
+    j's that i values most."""
+    bundles = alloc.bundles()
+    for i in inst.agents():
+        row = inst.row(i)
+        own = sum((row[g - 1] for g in bundles[i - 1]), Fraction(0))
+        for j in inst.agents():
+            values = [row[g - 1] for g in bundles[j - 1]]
+            if i != j and values and own < sum(values) - max(values):
+                return False
+    return True
 
 
 def _refining_priorities(inst, agent):

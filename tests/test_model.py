@@ -4,14 +4,20 @@ from fractions import Fraction as F
 from math import lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracle import enumerate_allocations
+from _oracle import (
+    enumerate_allocations,
+    fraction_normalize_instance,
+    fraction_validate_instance,
+)
 from _strategies import instances, instances_with_allocation
 from egalpof import (
     INFINITY,
     Allocation,
     BudgetExceeded,
+    EgalpofError,
     ExtendedValue,
     GoodOutOfRange,
     NegativeUtility,
@@ -184,6 +190,57 @@ class TestExtendedValue:
             INFINITY.as_fraction()
 
 
+@st.composite
+def _cells(draw, value):
+    """`value` as an int (when integral), a Fraction or a "p/q" string,
+    possibly unreduced."""
+    k = draw(st.integers(1, 3))
+    forms = [value, f"{value.numerator * k}/{value.denominator * k}"]
+    if value.denominator == 1:
+        forms.append(value.numerator)
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _raw_matrices(draw):
+    """n in 1..3 (n = 1 only raises), m in 0..5. Most rows have their last
+    cell set so that the row sums to 1, which may make it negative; half
+    the matrices have one other cell negated."""
+    n = draw(st.sampled_from((1, 2, 2, 3, 3)))
+    m = draw(st.integers(0, 5))
+    negated = draw(st.integers(-n * m, n * m))
+    raw = []
+    for i in range(n):
+        values = [F(draw(st.integers(0, 4)), draw(st.integers(1, 12))) for _ in range(m)]
+        if 0 <= negated - i * m < m:
+            values[negated - i * m] *= -1
+        if m and draw(st.integers(0, 3)):
+            values[-1] = 1 - sum(values[:-1])
+        raw.append([draw(_cells(v)) for v in values])
+    return raw
+
+
+def _outcome(build, raw):
+    try:
+        return build(raw)
+    except EgalpofError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_matrices())
+def test_integer_checks_match_fraction_checks(raw):
+    for build, oracle in (
+        (validate_instance, fraction_validate_instance),
+        (normalize_instance, fraction_normalize_instance),
+    ):
+        got = _outcome(build, raw)
+        assert got == _outcome(oracle, raw)
+        if isinstance(got, Instance):
+            # the record validation stored is the one built on first use
+            assert vars(got)["_scaled"] == Instance(got.n, got.m, got.u)._scaled
+
+
 @given(instances())
 def test_scaled_rows_is_exact_and_computed_once(inst):
     scale, rows = scaled_rows(inst)
@@ -269,10 +326,15 @@ def test_identical_twins_and_classes():
     assert classes == [[0, 2]]
     # no two keys equal: no classes
     assert _identical([a, b, c]) == ([None, None, None], [])
-    # the instance's record is built on first use
+    # validation stores the instance's record
     inst = normalize_instance([list(row) for row in zip(a, b, a, c, b)])
-    assert "_scaled" not in vars(inst)
+    assert "_scaled" in vars(inst)
     assert scaled_rows(inst) is inst._scaled[0]
+    # an instance built directly builds it on first use
+    direct = Instance(inst.n, inst.m, inst.u)
+    assert "_scaled" not in vars(direct)
+    assert direct._scaled == inst._scaled
+    assert "_scaled" in vars(direct)
 
 
 @given(instances_with_allocation(max_m=6, max_value=2, repeat_columns=True))

@@ -4,9 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from _oracle import ef1_by_pairs
 from egalpof import (
     Allocation,
     BudgetExceeded,
+    Instance,
     NotACycle,
     dominates,
     envy_graph,
@@ -35,6 +37,18 @@ class TestEF1:
     def test_even_split_passes(self):
         inst = gen_thm1(3, 5, F(1, 100))
         assert is_ef1(inst, Allocation(3, (1, 2, 2, 3, 3)))
+
+    @given(st.data())
+    def test_raw_matrix_matches_pair_form(self, data):
+        # a raw matrix may hold negative values, so a bundle's best good can
+        # be below 0; bundles may be empty
+        n = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(0, 5))
+        cell = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+        u = tuple(tuple(data.draw(cell) for _ in range(m)) for _ in range(n))
+        owner = tuple(data.draw(st.integers(1, n)) for _ in range(m))
+        inst, alloc = Instance(n, m, u), Allocation(n, owner)
+        assert is_ef1(inst, alloc) == ef1_by_pairs(inst, alloc)
 
     def test_single_good_instance(self):
         inst = validate_instance([[1], [1]])
