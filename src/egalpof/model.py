@@ -31,6 +31,7 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 DEFAULT_ENUMERATION_CAP = 2_000_000
+Ceiling = Callable[[list[int], list[int], int], object]
 
 
 def _check_list_size(name: str, size: int) -> None:
@@ -348,7 +349,7 @@ def scaled_utilities(
 def iter_allocations_scaled(
     inst: Instance,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    ceiling: Callable[[list[int], list[int], int], object] | None = None,
+    ceiling: Ceiling | None = None,
     floor: list | None = None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield (owner, per-agent scaled utility) in lexicographic order.
@@ -368,13 +369,12 @@ def iter_allocations_scaled(
 
     With `ceiling` the enumeration is also a branch-and-bound search.
     `floor` is a one-element list in which the consumer keeps its
-    incumbent's comparison key, None until it has one. While floor[0] is
-    not None, `ceiling(owner, util, k)` is asked about every prefix
-    owner[:k] with 0 < k < m that the loop enters, util being that prefix's
-    utilities (both valid only during the call). A prefix whose ceiling is
-    at or below floor[0] is skipped with every allocation that extends it.
-    Prefixes are asked in depth-first order, so a floor set from the start,
-    below every ceiling, has owner[:k - 1] asked and kept just before each
+    incumbent's comparison key, or a value below every key until it has
+    one. `ceiling(owner, util, k)` is asked about every prefix owner[:k]
+    with 0 < k < m that the loop enters, in depth-first order, util being
+    that prefix's utilities (both valid only during the call). A prefix
+    whose ceiling is at or below floor[0] is skipped with every allocation
+    that extends it, so owner[:k - 1] was asked, and kept, just before
     owner[:k].
 
     A search with n**m <= cap is never refused. Otherwise states
@@ -391,7 +391,7 @@ def iter_allocations_scaled(
     k = 0  # owner[:k] is the current prefix
     entered = True  # False while leaving owner[:k] for the next prefix
     while True:
-        if entered and (k == m or k and ceiling is not None and floor[0] is not None):
+        if entered and (k == m or k and ceiling is not None):
             states += 1
             if states > limit:
                 raise BudgetExceeded(cap + 1, cap)

@@ -102,9 +102,10 @@ def is_ef1(inst: Instance, alloc: Allocation) -> bool:
     """Envy-free up to one good.
 
     For every ordered pair (i, j): either j's bundle is empty, or removing
-    the good i values most from it leaves nothing i still envies. Removing
-    the most valued good is optimal, so this matches the existential form
-    with removal sets of size at most one.
+    the good i values most from it leaves nothing i still envies. For
+    nonnegative utilities, which validation guarantees, removing the most
+    valued good is optimal, so this matches the existential form with
+    removal sets of size at most one.
     """
     _check_pair(inst, alloc)
     _, rows = scaled_rows(inst)

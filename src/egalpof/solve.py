@@ -14,6 +14,7 @@ from typing import Callable
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
+    Ceiling,
     ExtendedValue,
     Instance,
     extended_ratio,
@@ -21,8 +22,6 @@ from .model import (
     scaled_rows,
 )
 from .roundrobin import layered_rr_search
-
-Ceiling = Callable[[list[int], list[int], int], object]
 
 
 class Objective(str, Enum):
@@ -104,9 +103,7 @@ def _count_ceiling(rows: tuple[tuple[int, ...], ...], ceiling: Ceiling, floor: l
 # The filter ceilings below return -1, under every key, for a prefix that no
 # admissible allocation extends, and at k = m, where they are exact, for an
 # allocation the filter rejects. They keep one row of state per depth and
-# read the parent's: once max_welfare starts the floor at -1, the search asks
-# about every prefix it enters, in depth-first order, so owner[:k-1] was
-# asked just before owner[:k] and before every allocation extending it.
+# read the parent's, which the search asked about just before.
 
 
 def _balanced_ceiling(
@@ -198,14 +195,15 @@ def max_welfare(
     which keep both as every key and filter is invariant under permuting
     identical goods, in a branch-and-bound search that skips a prefix once a
     ceiling on the key over its completions is at or below the incumbent's,
-    so nothing skipped could improve. The unfiltered egalitarian solve also
-    counts the goods its lowest agents need (`_count_ceiling`). For EF1 and
-    balancedness the floor starts at -1, so every prefix is asked, and the
-    filter's ceiling also skips each prefix that no admissible allocation
-    extends. Asked at k = m
-    about an improving allocation, whose key is its own ceiling, it is -1
-    exactly when the filter rejects it. `cap` bounds every search. `pruned`
-    is accepted and ignored: every solve is pruned.
+    so nothing skipped could improve. The floor starts at -1, under every
+    key of nonnegative utilities, which validation guarantees, so every
+    prefix entered is asked. The unfiltered egalitarian solve also counts
+    the goods its lowest agents need (`_count_ceiling`). For EF1 and
+    balancedness the filter's ceiling also skips each prefix that no
+    admissible allocation extends. Asked at k = m about an improving
+    allocation, whose key is its own ceiling, it is -1 exactly when the
+    filter rejects it. `cap` bounds every search. `pruned` is accepted and
+    ignored: every solve is pruned.
     """
     objective = Objective(objective)
     prop = PropertyFilter(prop)
@@ -214,13 +212,14 @@ def max_welfare(
     value = {Objective.EGALITARIAN: min, Objective.UTILITARIAN: sum, Objective.NASH: prod}[objective]
     key: Callable[[list[int]], object] = value
     judge: Ceiling | None = None  # the filter's ceiling, asked at k = m
-    floor = [None]  # the incumbent's key, as the branch-and-bound search reads it
+    pair = prop in (PropertyFilter.MAX_UTILITARIAN, PropertyFilter.MAX_NASH)
+    floor = [(-1, -1) if pair else -1]  # the incumbent's key, under every key until there is one
     if prop is PropertyFilter.ROUND_ROBIN:
         candidates = sorted(layered_rr_search(inst, True, cap))
     else:
         rest, ceilings = _ceilings(rows)
         ceiling = ceilings[value]
-        if prop in (PropertyFilter.MAX_UTILITARIAN, PropertyFilter.MAX_NASH):
+        if pair:
             welfare = sum if prop is PropertyFilter.MAX_UTILITARIAN else prod
             key = lambda util: (welfare(util), value(util))
             first, then = ceilings[welfare], ceiling
@@ -229,17 +228,15 @@ def max_welfare(
             ceiling = _count_ceiling(rows, ceiling, floor)
         elif m and prop is PropertyFilter.EF1:  # m = 0 has no last good to read
             ceiling = judge = _ef1_ceiling(rows, rest, ceiling, floor)
-            floor[0] = -1  # under every key, so every prefix entered is asked
         elif m and prop is PropertyFilter.BALANCED:
             ceiling = judge = _balanced_ceiling(rows, ceiling, value is min)
-            floor[0] = -1
         candidates = iter_allocations_scaled(inst, cap, ceiling, floor)
 
-    best = witness = None
+    witness = None
     for explored, (owner, util) in enumerate(candidates, 1):
         score = key(util)
-        if (best is None or score > best) and (judge is None or judge(owner, util, m) != -1):
-            best = floor[0] = score
+        if score > floor[0] and (judge is None or judge(owner, util, m) != -1):
+            floor[0] = score
             best_util = util[:]
             witness = tuple(owner)
     assert witness is not None

@@ -3,14 +3,17 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from egalpof import gen_thm4, gen_thm7, reports, verify
 from egalpof.cli import main
 from egalpof.model import DEFAULT_ENUMERATION_CAP
+from egalpof.serialize import load_instance
 
 # a size no Python list can have: it must fail before anything allocates
 HUGE = str(sys.maxsize + 1)
@@ -116,6 +119,11 @@ class TestGenerate:
         )
         assert code == 2
 
+    def test_thm7(self, tmp_path):
+        path = tmp_path / "t7.json"
+        assert main(["generate", "--family", "thm7", "--eps", "1/10", "--out", str(path)]) == 0
+        assert load_instance(path).u == gen_thm7(Fraction(1, 10)).u
+
     def test_usage_error(self, tmp_path, capsys):
         assert main(["generate", "--family", "thm9", "--out", str(tmp_path / "x.json")]) == 2
 
@@ -159,6 +167,17 @@ class TestVerifyCommand:
                      "--trials", "1", "--seed", "1"]) == 1
         assert "overall: FAIL" in capsys.readouterr().out
 
+    def test_real_violations_exit_one(self, capsys, monkeypatch):
+        # a rounding that leaves the MEW allocation as it is fails the
+        # balanced per-agent check on the draws whose optimum is unbalanced
+        monkeypatch.setattr(verify, "balanced_from_mew", lambda inst, alloc: alloc)
+        argv = ["verify", "--suite", "lemmas", "--n", "3", "--m-max", "5",
+                "--trials", "4", "--seed", "0"]
+        assert main(argv) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert "check balanced_rounding_per_agent: tried=8 violations=4 worst=1" in out
+        assert out[-1] == "overall: FAIL"
+
     @pytest.mark.parametrize("m_max, trials", [("0", "1"), ("3", "-1")])
     def test_out_of_range_params(self, m_max, trials, capsys):
         argv = ["verify", "--suite", "bounds", "--n", "2", "--m-max", m_max,
@@ -185,6 +204,14 @@ class TestReproduce:
         lines = a.read_text().splitlines()
         assert lines[0] == "family,n,m,params,property,mew,mew_p,pof"
         assert "thm4,2,3,eps=1/100,muw,1/2,1/50,25" in lines
+
+    def test_cross_check_failure_exits_one(self, tmp_path, capsys, monkeypatch):
+        # a thm4 row whose price is not 1/(4 eps) stops the report unwritten
+        monkeypatch.setattr(reports, "gen_thm4", lambda eps: gen_thm4(eps / 2))
+        path = tmp_path / "r.csv"
+        assert main(["reproduce", "--out", str(path), "--format", "csv"]) == 1
+        assert capsys.readouterr().err == "error: thm4 eps=1/100: unexpected pof 50\n"
+        assert not path.exists()
 
     def test_markdown(self, tmp_path):
         path = tmp_path / "r.md"

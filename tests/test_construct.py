@@ -40,6 +40,9 @@ class TestGenThm1:
             gen_thm1(3, 2, F(1, 100))
         with pytest.raises(ParamOutOfRange):
             gen_thm1(3, 5, 0)
+        # (m-1)*eps = 3/4 < 1, but agent 2's first good would be worth only eps
+        with pytest.raises(ParamOutOfRange, match=r"eps must stay below 1 - \(m-1\)\*eps"):
+            gen_thm1(3, 4, F(1, 4))
 
     def test_default_eps(self):
         inst = gen_thm1(3, 5)
@@ -214,6 +217,10 @@ class TestGenThm5:
         assert (mew.value, mew.witness.owner) == (F(3, 5), (1, 2, 2))
         mnw = max_welfare(inst, Objective.NASH)
         assert mnw.witness.owner == (1, 1, 2)
+
+    def test_x_at_most_one(self):
+        with pytest.raises(ParamOutOfRange, match="need x > 1, got 1"):
+            gen_thm5(1, F(1, 2))
 
     def test_infeasible_y_above_upper(self):
         with pytest.raises(InfeasibleParams, match="1/x"):

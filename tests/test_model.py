@@ -286,10 +286,14 @@ def test_iter_allocations_scaled_prune_skips_extensions():
     expected = [o for o in canonical if o[:-1].count(2) < 2]
     assert kept == expected and len(expected) < len(canonical)
     assert set(asked) == {1, 2, 3, 4}
-    # nothing is asked before the consumer has an incumbent
-    asked.clear()
-    assert [tuple(o) for o, _ in iter_allocations_scaled(inst, ceiling=ceiling, floor=[None])] == canonical
-    assert not asked
+    # under a floor below every ceiling, every prefix entered is asked, the
+    # first path's too, in depth-first (here lexicographic) order, and
+    # nothing is skipped
+    entered = []
+    record = lambda owner, prefix_util, k: entered.append(tuple(owner[:k])) or 0
+    assert [tuple(o) for o, _ in iter_allocations_scaled(inst, ceiling=record, floor=[-1])] == canonical
+    assert entered[:4] == [(1,), (1, 1), (1, 1, 1), (1, 1, 1, 1)]
+    assert entered == sorted({o[:k] for o in canonical for k in range(1, 5)})
 
 
 def test_iter_allocations_scaled_search_visits_canonical_allocations():

@@ -56,6 +56,7 @@ class TestInstanceFiles:
             '{"n":2, "m":2, "utilities":[["1/2","1/2"]]}',
             '{"n":2, "m":3, "utilities":[["1/2","1/2"],["1/4","3/4"]]}',
             '{"n":"2", "m":2, "utilities":[["1/2","1/2"],["1/4","3/4"]]}',
+            '{"n":2, "m":2.0, "utilities":[["1/2","1/2"],["1/4","3/4"]]}',
         ],
     )
     def test_structural_errors(self, text):

@@ -22,6 +22,7 @@ from egalpof import (
     max_welfare,
     normalize_instance,
     price_of_fairness,
+    solve,
     validate_instance,
 )
 from egalpof.model import iter_allocations_scaled, scaled_rows, scaled_utilities
@@ -187,6 +188,45 @@ class TestMaxWelfare:
             max_welfare(inst, Objective.EGALITARIAN, PropertyFilter.ROUND_ROBIN, cap=states - 1)
         assert (err.value.needed, err.value.cap) == (states, states - 1)
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(instances(max_m=5, repeat_columns=True), instances(max_m=5)))
+    def test_every_entered_prefix_is_asked(self, inst):
+        # the floor starts under every key, so each search asks about the
+        # prefixes of its first path, and every later prefix right after
+        # its parent
+        for objective, prop in itertools.product(Objective, PropertyFilter):
+            if prop is PropertyFilter.ROUND_ROBIN:
+                continue
+            asked = []
+
+            def spy(inst, cap, ceiling, floor):
+                def ask(owner, util, k):
+                    asked.append(tuple(owner[:k]))
+                    return ceiling(owner, util, k)
+
+                return iter_allocations_scaled(inst, cap, ask, floor)
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(solve, "iter_allocations_scaled", spy)
+                max_welfare(inst, objective, prop)
+            assert asked[:1] == ([(1,)] if inst.m > 1 else []), (objective, prop)
+            last = {0: ()}
+            for prefix in asked:
+                assert prefix[:-1] == last[len(prefix) - 1], (objective, prop, prefix)
+                last[len(prefix)] = prefix
+
+    @pytest.mark.parametrize(
+        "objective, states", [(Objective.EGALITARIAN, 7_972), (Objective.UTILITARIAN, 2_100)]
+    )
+    def test_unfiltered_searched_states(self, objective, states):
+        # prefixes asked, the first path's included, plus allocations
+        # reached, pinned so a change to the ask rule or the ceilings shows
+        inst = _tie_free_4x12()
+        max_welfare(inst, objective, cap=states)
+        with pytest.raises(BudgetExceeded) as err:
+            max_welfare(inst, objective, cap=states - 1)
+        assert (err.value.needed, err.value.cap) == (states, states - 1)
+
     @pytest.mark.parametrize(
         "prop, pof", [(PropertyFilter.EF1, F(5, 3)), (PropertyFilter.BALANCED, F(5, 2))]
     )
@@ -200,6 +240,12 @@ class TestMaxWelfare:
 
 def _tied(n, m):
     return validate_instance([[F(1, m)] * m] * n)
+
+
+def _tie_free_4x12():
+    # no two goods are identical, and the all-remaining-goods ceiling alone
+    # needs more than the default cap of 2,000,000 egalitarian states here
+    return normalize_instance([[(i + 2) * (j + 3) * 7919 % 97 + 1 for j in range(12)] for i in range(4)])
 
 
 class TestCountCeiling:
@@ -219,7 +265,7 @@ class TestCountCeiling:
             key = min(scaled_utilities(rows, n, owner))
             for k in range(1, m):
                 best[owner[:k]] = max(best.get(owner[:k], key), key)
-        floor = [None]
+        floor = [-1]
         _, ceilings = _ceilings(rows)
         ceiling = _count_ceiling(rows, ceilings[min], floor)
         for prefix, top in best.items():
@@ -229,10 +275,7 @@ class TestCountCeiling:
                 assert ceiling(list(prefix), util, len(prefix)) >= top, (prefix, f)
 
     def test_tie_free_4x12(self):
-        # no two goods are identical, and the all-remaining-goods ceiling
-        # alone needs more than the default cap of 2,000,000 states here
-        rows = [[(i + 2) * (j + 3) * 7919 % 97 + 1 for j in range(12)] for i in range(4)]
-        result = max_welfare(normalize_instance(rows), Objective.EGALITARIAN)
+        result = max_welfare(_tie_free_4x12(), Objective.EGALITARIAN)
         assert (result.value, result.witness.owner) == (F(92, 277), (1, 4, 4, 1, 3, 3, 4, 1, 2, 3, 2, 2))
 
 
@@ -279,7 +322,7 @@ class TestFilterPrunes:
             _, rows = scaled_rows(inst)
             rest, ceilings = _ceilings(rows)
             for key in (min, sum):
-                floor = [-1]  # as max_welfare starts it: every prefix is asked
+                floor = [-1]
                 if prop is PropertyFilter.BALANCED:
                     hook = _balanced_ceiling(rows, ceilings[key], key is min)
                 else:
