@@ -10,7 +10,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import total_ordering
 from math import inf, lcm, prod
 from operator import itemgetter
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
@@ -73,13 +73,16 @@ def _identical(keys: Iterable[Hashable]) -> tuple[list[int | None], list[list[in
 
 @dataclass(frozen=True)
 class Instance:
-    """n agents with additive utilities over m goods.
+    """n agents with additive, nonnegative utilities over m goods.
 
-    Build instances through :func:`validate_instance` or
-    :func:`normalize_instance`, which enforce nonnegative entries and exact
-    row sums of 1. The constructor itself only checks the shape, so that
-    internal reduced instances (restricted good sets, rows deliberately not
-    re-normalized) can reuse the same type.
+    The constructor checks the shape, rejects float cells, and raises
+    NegativeUtility for the first negative cell in row-major order. Rows
+    need not sum to 1, so that internal reduced instances (restricted good
+    sets, rows deliberately not re-normalized) can reuse the type; build
+    input instances through :func:`validate_instance` or
+    :func:`normalize_instance`. Every instance carries its record
+    `_scaled` from construction: ((scale, rows), twins, classes), each cell
+    times the lcm of all denominators, and `_identical` of those columns.
     """
 
     n: int
@@ -91,6 +94,19 @@ class Instance:
             raise ValueError("instance needs n >= 1 agents and m >= 0 goods")
         if len(self.u) != self.n or any(len(row) != self.m for row in self.u):
             raise ValueError("utility matrix shape does not match n x m")
+        # a list, not a generator: with `lcm(*generator)` here, peak RSS kept
+        # rising through a 30 s run of thousands of small verify suites
+        try:
+            scale = lcm(*[x.denominator for row in self.u for x in row])
+        except AttributeError:
+            raise TypeError("utilities must be Fractions or ints; floats are not allowed") from None
+        rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in self.u)
+        for i, row in enumerate(rows, start=1):
+            for j, x in enumerate(row, start=1):
+                if x < 0:
+                    raise NegativeUtility(i, j)
+        # not a field, so __eq__ and __hash__ ignore it
+        object.__setattr__(self, "_scaled", ((scale, rows), *_identical(zip(*rows))))
 
     def utility(self, agent: int, good: int) -> Fraction:
         if not 1 <= good <= self.m:
@@ -107,25 +123,6 @@ class Instance:
 
     def goods(self) -> range:
         return range(1, self.m + 1)
-
-    @cached_property
-    def _scaled(self):
-        """((scale, rows), twins, classes): the scaled matrix and
-        `_identical` of its columns. Validation stores it; an instance built
-        directly builds it on first use."""
-        # cached_property writes the instance __dict__ directly, so it works
-        # on a frozen dataclass without entering __eq__ or __hash__
-        return _record(self.u)
-
-
-def _record(u: Sequence[Sequence[Fraction]]):
-    """The instance record of matrix `u`: each cell times the lcm of all
-    denominators, as an integer, and `_identical` of the scaled columns."""
-    # a list, not a generator: with `lcm(*generator)` here, peak RSS kept
-    # rising through a 30 s run of thousands of small verify suites
-    scale = lcm(*[x.denominator for row in u for x in row])
-    rows = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in u)
-    return ((scale, rows), *_identical(zip(*rows)))
 
 
 @dataclass(frozen=True)
@@ -174,23 +171,20 @@ def _to_rows(raw) -> list[list[Fraction]]:
 
 
 def validate_instance(raw: Sequence[Sequence]) -> Instance:
-    """Check nonnegativity and exact row sums of 1 on the scaled matrix,
-    then build the Instance and store that matrix's record on it."""
+    """Build the Instance of `raw` and check its exact row sums of 1 on the
+    scaled matrix. Errors come in this order: a malformed matrix, fewer than
+    two agents, the first negative cell (row-major), the first row whose
+    sum is not 1."""
     rows = _to_rows(raw)
     n = len(rows)
     if n < 2:
         raise TooFewAgents(n)
-    record = _record(rows)
-    (scale, scaled), _, _ = record
+    inst = Instance(n, len(rows[0]), tuple(tuple(row) for row in rows))
+    scale, scaled = inst._scaled[0]
     for i, row in enumerate(scaled, start=1):
-        for j, x in enumerate(row, start=1):
-            if x < 0:
-                raise NegativeUtility(i, j)
         total = sum(row)
         if total != scale:
             raise RowSumNotOne(i, Fraction(total, scale))
-    inst = Instance(n, len(rows[0]), tuple(tuple(row) for row in rows))
-    inst.__dict__["_scaled"] = record
     return inst
 
 

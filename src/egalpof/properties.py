@@ -103,7 +103,7 @@ def is_ef1(inst: Instance, alloc: Allocation) -> bool:
 
     For every ordered pair (i, j): either j's bundle is empty, or removing
     the good i values most from it leaves nothing i still envies. For
-    nonnegative utilities, which validation guarantees, removing the most
+    nonnegative utilities, which every `Instance` has, removing the most
     valued good is optimal, so this matches the existential form with
     removal sets of size at most one.
     """

@@ -196,7 +196,7 @@ def max_welfare(
     identical goods, in a branch-and-bound search that skips a prefix once a
     ceiling on the key over its completions is at or below the incumbent's,
     so nothing skipped could improve. The floor starts at -1, under every
-    key of nonnegative utilities, which validation guarantees, so every
+    key of nonnegative utilities, which every `Instance` has, so every
     prefix entered is asked. The unfiltered egalitarian solve also counts
     the goods its lowest agents need (`_count_ceiling`). For EF1 and
     balancedness the filter's ceiling also skips each prefix that no

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ParamOutOfRange
+from .errors import ParamOutOfRange, TooFewAgents
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
@@ -103,6 +103,8 @@ def random_instance(
         raise ParamOutOfRange(
             f"need m >= 1 and denom_bound >= 1, got m={m}, denom_bound={denom_bound}"
         )
+    if n < 2:
+        raise TooFewAgents(n)
     rows = []
     for _ in range(n):
         while True:

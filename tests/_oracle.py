@@ -62,7 +62,8 @@ def enumerate_allocations(inst, cap=DEFAULT_ENUMERATION_CAP):
 
 
 def fraction_validate_instance(raw):
-    """Nonnegativity and row sums of 1, checked with `Fraction` sums."""
+    """Every cell's sign, row-major, then row sums of 1, checked with
+    `Fraction` sums."""
     rows = _to_rows(raw)
     n = len(rows)
     if n < 2:
@@ -71,6 +72,7 @@ def fraction_validate_instance(raw):
         for j, x in enumerate(row, start=1):
             if x < 0:
                 raise NegativeUtility(i, j)
+    for i, row in enumerate(rows, start=1):
         total = sum(row, Fraction(0))
         if total != 1:
             raise RowSumNotOne(i, total)

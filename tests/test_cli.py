@@ -187,6 +187,12 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_negative_n_named(self, capsys):
+        argv = ["verify", "--suite", "bounds", "--n", "-1", "--m-max", "3",
+                "--trials", "1", "--seed", "0"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: need at least 2 agents, got -1\n"
+
     def test_env_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("EGALPOF_CAP", "1")
         argv = ["verify", "--suite", "bounds", "--n", "2", "--m-max", "4",

@@ -61,6 +61,12 @@ class TestValidateInstance:
             validate_instance([[1, 0], [F(-1, 2), F(3, 2)]])
         assert (err.value.agent, err.value.good) == (2, 1)
 
+    def test_negative_cell_before_row_sum(self):
+        # row 1 sums to 0, but every cell's sign is checked before any sum
+        with pytest.raises(NegativeUtility) as err:
+            validate_instance([[0, 0], [-1, 0]])
+        assert (err.value.agent, err.value.good) == (2, 1)
+
     def test_too_few_agents(self):
         with pytest.raises(TooFewAgents):
             validate_instance([[1]])
@@ -72,6 +78,44 @@ class TestValidateInstance:
     def test_rational_strings_accepted(self):
         inst = validate_instance([["1/2", "1/2"], ["1/4", "3/4"]])
         assert inst.utility(1, 1) == F(1, 2)
+
+
+class TestInstance:
+    @pytest.mark.parametrize(
+        "u",
+        [
+            # keys below the solves' -1 floor: a search from it reports an
+            # egalitarian optimum of 0 here, where it is 1 ...
+            ((-1, -1, 1), (1, 0, -1)),
+            # ... and finds no allocation at all here
+            ((-1, -1), (-1, -1)),
+        ],
+    )
+    def test_negative_cell_rejected_at_construction(self, u):
+        with pytest.raises(NegativeUtility) as err:
+            Instance(2, len(u[0]), u)
+        assert (err.value.agent, err.value.good) == (1, 1)
+
+    @pytest.mark.parametrize("cell", [0.5, "1/2"])
+    def test_non_rational_cell_rejected_at_construction(self, cell):
+        with pytest.raises(TypeError, match="floats are not allowed"):
+            Instance(2, 1, ((cell,), (cell,)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_instance_names_first_negative_cell(data):
+    n = data.draw(st.integers(1, 3))
+    m = data.draw(st.integers(0, 5))
+    cell = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+    u = tuple(tuple(data.draw(cell) for _ in range(m)) for _ in range(n))
+    negative = [(i, j) for i in range(1, n + 1) for j in range(1, m + 1) if u[i - 1][j - 1] < 0]
+    if negative:
+        with pytest.raises(NegativeUtility) as err:
+            Instance(n, m, u)
+        assert (err.value.agent, err.value.good) == negative[0]
+    else:
+        assert Instance(n, m, u).u == u
 
 
 class TestNormalizeInstance:
@@ -237,7 +281,7 @@ def test_integer_checks_match_fraction_checks(raw):
         got = _outcome(build, raw)
         assert got == _outcome(oracle, raw)
         if isinstance(got, Instance):
-            # the record validation stored is the one built on first use
+            # the record validation returns is the one built directly
             assert vars(got)["_scaled"] == Instance(got.n, got.m, got.u)._scaled
 
 
@@ -330,15 +374,14 @@ def test_identical_twins_and_classes():
     assert classes == [[0, 2]]
     # no two keys equal: no classes
     assert _identical([a, b, c]) == ([None, None, None], [])
-    # validation stores the instance's record
+    # every instance holds its record from construction, a directly built
+    # one the same record as a validated one
     inst = normalize_instance([list(row) for row in zip(a, b, a, c, b)])
     assert "_scaled" in vars(inst)
     assert scaled_rows(inst) is inst._scaled[0]
-    # an instance built directly builds it on first use
     direct = Instance(inst.n, inst.m, inst.u)
-    assert "_scaled" not in vars(direct)
-    assert direct._scaled == inst._scaled
     assert "_scaled" in vars(direct)
+    assert direct._scaled == inst._scaled
 
 
 @given(instances_with_allocation(max_m=6, max_value=2, repeat_columns=True))
