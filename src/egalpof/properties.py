@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import inf
 from operator import ge, gt
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import NotACycle
+from .errors import BudgetExceeded, NotACycle
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
@@ -132,18 +133,16 @@ def is_ef1(inst: Instance, alloc: Allocation) -> bool:
 def envy_graph(inst: Instance, alloc: Allocation) -> EnvyGraph:
     _check_pair(inst, alloc)
     _, rows = scaled_rows(inst)
-    bundles = alloc.bundles()
-    values = [
-        [sum(rows[i][g - 1] for g in bundles[j]) for j in range(inst.n)]
-        for i in range(inst.n)
-    ]
-    edges = frozenset(
-        (i + 1, j + 1)
-        for i in range(inst.n)
-        for j in range(inst.n)
-        if i != j and values[i][i] < values[i][j]
-    )
-    return EnvyGraph(inst.n, edges)
+    owner = alloc.owner
+    size = inst.n + 1
+    edges = []
+    for i, row in enumerate(rows, start=1):
+        value = [0] * size  # i's value of each bundle, in one pass
+        for a, x in zip(owner, row):
+            value[a] += x
+        own = value[i]
+        edges.extend((i, j) for j in range(1, size) if own < value[j])
+    return EnvyGraph(inst.n, frozenset(edges))
 
 
 def weakly_dominates(x: Sequence, y: Sequence) -> bool:
@@ -178,23 +177,73 @@ def is_pareto_optimal(
     )
 
 
+def _maxima(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The distinct vectors that no other vector weakly dominates.
+
+    In lex-descending order every weak dominator of a vector comes before
+    it, and an earlier w has w[0] >= v[0], so it dominates v exactly when
+    w[1:] weakly dominates v[1:]. Each vector is therefore checked only
+    against the maximal tails of the maxima kept so far.
+    """
+    kept: list[tuple[int, ...]] = []
+    tails: list[tuple[int, ...]] = []
+    for vec in sorted(set(vectors), reverse=True):
+        tail = vec[1:]
+        if any(weakly_dominates(t, tail) for t in tails):
+            continue
+        kept.append(vec)
+        tails = [t for t in tails if not weakly_dominates(tail, t)]
+        tails.append(tail)
+    return kept
+
+
+def _pareto_fronts(inst: Instance, cap: int) -> list[set[tuple[int, ...]]]:
+    """fronts[k]: the maximal scaled utility vectors of allocations of goods 1..k.
+
+    Pareto-optimality is hereditary on prefixes: a dominator of owner[:k],
+    extended by the same goods k+1..m, dominates the whole allocation, as
+    utilities are additive. So fronts[k] is the maxima of fronts[k - 1]
+    with good k added to each agent in turn. The n candidates formed per
+    vector count against `cap` under the enumerator's rule: never refused
+    when n**m <= cap, else BudgetExceeded(cap + 1, cap) once over it.
+    """
+    n, m = inst.n, inst.m
+    _, rows = scaled_rows(inst)
+    limit = cap if n**m > cap else inf
+    fronts = [{(0,) * n}]
+    formed = 0
+    for k in range(m):
+        candidates = []
+        for vec in fronts[k]:
+            formed += n
+            if formed > limit:
+                raise BudgetExceeded(cap + 1, cap)
+            for a in range(n):
+                cand = list(vec)
+                cand[a] += rows[a][k]
+                candidates.append(tuple(cand))
+        fronts.append(set(_maxima(candidates)))
+    return fronts
+
+
 def pareto_optimal_allocations(
     inst: Instance, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> Iterator[Allocation]:
     """All Pareto-optimal allocations, in lexicographic owner order.
 
-    Two passes over the canonical allocations, which attain every utility
-    vector: the first collects the maximal ones (a strong dominator has a
-    strictly larger sum, so distinct vectors in decreasing-sum order need
-    only the running maximal set), the second their allocations and mirrors.
+    The fronts are built one good at a time; the canonical allocations,
+    which attain every utility vector, are then searched with every prefix
+    off its front skipped, and the ones on the last front are listed with
+    their mirrors. The front build, the search and the mirrors each count
+    against `cap` on their own.
     """
-    distinct = {tuple(util) for _, util in iter_allocations_scaled(inst, cap)}
-    front: list[tuple[int, ...]] = []
-    for vec in sorted(distinct, key=lambda v: (-sum(v), v)):
-        if not any(weakly_dominates(w, vec) for w in front):
-            front.append(vec)
-    front_set = set(front)
-    owners = [tuple(o) for o, util in iter_allocations_scaled(inst, cap) if tuple(util) in front_set]
+    fronts = _pareto_fronts(inst, cap)
+    in_front = lambda owner, util, k: tuple(util) in fronts[k]
+    owners = [
+        tuple(owner)
+        for owner, util in iter_allocations_scaled(inst, cap, in_front, [False])
+        if tuple(util) in fronts[-1]
+    ]
     for owner in mirror_allocations(inst, owners, cap):
         yield Allocation(inst.n, owner)
 

@@ -102,7 +102,12 @@ def test_ef1_forms_agree(pair):
 @given(instances_with_allocation(max_m=4))
 def test_envy_cycle_rotation_strongly_dominates(pair):
     inst, alloc = pair
-    cycle = envy_graph(inst, alloc).find_cycle()
+    graph = envy_graph(inst, alloc)
+    value = [[bundle_utility(inst, i, alloc.bundle(j)) for j in inst.agents()] for i in inst.agents()]
+    assert graph.edges == {
+        (i, j) for i in inst.agents() for j in inst.agents() if value[i - 1][i - 1] < value[i - 1][j - 1]
+    }
+    cycle = graph.find_cycle()
     if cycle is not None:
         assert dominates(inst, rotate_cycle(inst, alloc, cycle), alloc).strong
 

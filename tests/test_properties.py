@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from _oracle import ef1_by_pairs
 from egalpof import (
@@ -21,7 +21,7 @@ from egalpof import (
     rotate_cycle,
     validate_instance,
 )
-from egalpof.properties import EnvyGraph
+from egalpof.properties import EnvyGraph, _maxima, _pareto_fronts, weakly_dominates
 
 IDENTITY = validate_instance([[1, 0], [0, 1]])
 MIXED = validate_instance([[F(1, 2), F(1, 2)], [F(3, 4), F(1, 4)]])
@@ -163,6 +163,31 @@ class TestParetoOptimal:
             list(pareto_optimal_allocations(inst, cap=1000))
         assert (err.value.needed, err.value.cap) == (1001, 1000)
 
+    def test_search_past_cap_on_fronts(self):
+        # tie-free 2x12: all 4,096 allocations are canonical, over the cap of
+        # 1,000 that a scan of every one of them exceeds; the fronts and the
+        # search of prefixes on them stay under it
+        inst = normalize_instance(
+            [
+                [121, 327, 514, 974, 524, 662, 880, 975, 105, 905, 228, 916],
+                [615, 636, 569, 430, 802, 586, 560, 862, 748, 795, 786, 502],
+            ]
+        )
+        expected = list(pareto_optimal_allocations(inst))
+        assert len(expected) == 34
+        assert list(pareto_optimal_allocations(inst, cap=1000)) == expected
+
+    def test_front_build_budget(self):
+        # the fronts of 30 goods form 930 candidates, two per front vector
+        inst = normalize_instance([list(range(1, 31)), list(range(30, 0, -1))])
+        assert len(_pareto_fronts(inst, 930)) == 31
+        with pytest.raises(BudgetExceeded) as err:
+            _pareto_fronts(inst, 929)
+        assert (err.value.needed, err.value.cap) == (930, 929)
+        with pytest.raises(BudgetExceeded) as err:
+            list(pareto_optimal_allocations(inst, cap=929))
+        assert (err.value.needed, err.value.cap) == (930, 929)
+
     def test_enumeration_matches_single_checks(self):
         inst = normalize_instance([[3, 1, 4, 1], [5, 9, 2, 6], [5, 3, 5, 8]])
         expected = {
@@ -174,6 +199,20 @@ class TestParetoOptimal:
             if is_pareto_optimal(inst, a)
         }
         assert {a.owner for a in pareto_optimal_allocations(inst)} == expected
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda d: st.lists(st.tuples(*[st.integers(0, 3)] * d), max_size=30)
+    )
+)
+def test_maxima_matches_brute_force(vectors):
+    # small entries give duplicates, zeros and ties in leading entries
+    expected = {
+        v for v in vectors if not any(w != v and weakly_dominates(w, v) for w in vectors)
+    }
+    assert _maxima(vectors) == sorted(expected, reverse=True)
 
 
 class TestRotateCycle:
