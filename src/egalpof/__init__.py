@@ -15,7 +15,6 @@ from .errors import (
     GoodOutOfRange,
     InfeasibleParams,
     NegativeUtility,
-    NotACycle,
     ParamOutOfRange,
     ParseError,
     PreconditionViolated,
@@ -29,9 +28,7 @@ from .model import (
     Allocation,
     ExtendedValue,
     Instance,
-    Rational,
     agent_utilities,
-    bundle_utility,
     egalitarian_welfare,
     extended_ratio,
     nash_welfare,
@@ -40,15 +37,12 @@ from .model import (
     validate_instance,
 )
 from .properties import (
-    DominationVerdict,
     EnvyGraph,
-    dominates,
     envy_graph,
     is_balanced,
     is_ef1,
     is_pareto_optimal,
     pareto_optimal_allocations,
-    rotate_cycle,
 )
 from .roundrobin import (
     RRSchedule,

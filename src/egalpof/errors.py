@@ -47,10 +47,6 @@ class BudgetExceeded(EgalpofError):
         self.cap = cap
 
 
-class NotACycle(EgalpofError):
-    pass
-
-
 class PreconditionViolated(EgalpofError):
     pass
 

@@ -25,8 +25,6 @@ from .errors import (
     ZeroRow,
 )
 
-Rational = Fraction
-
 ONE = Fraction(1)
 ZERO = Fraction(0)
 
@@ -212,19 +210,6 @@ def _check_pair(inst: Instance, alloc: Allocation) -> None:
         raise ValueError("allocation does not match instance dimensions")
 
 
-def bundle_utility(inst: Instance, agent: int, goods: Iterable[int]) -> Fraction:
-    """Exact additive value of a set of goods; the empty set is worth 0."""
-    if not 1 <= agent <= inst.n:
-        raise ValueError(f"agent {agent} outside 1..{inst.n}")
-    row = inst.u[agent - 1]
-    total = ZERO
-    for g in set(goods):
-        if not 1 <= g <= inst.m:
-            raise GoodOutOfRange(g, inst.m)
-        total += row[g - 1]
-    return total
-
-
 def agent_utilities(inst: Instance, alloc: Allocation) -> tuple[Fraction, ...]:
     """u_i(A_i) for every agent, in one pass over the goods."""
     _check_pair(inst, alloc)
@@ -259,10 +244,6 @@ class ExtendedValue:
     @classmethod
     def finite(cls, value) -> "ExtendedValue":
         return cls(as_rational(value))
-
-    @classmethod
-    def infinite(cls) -> "ExtendedValue":
-        return cls(None)
 
     @property
     def is_infinite(self) -> bool:

@@ -1,21 +1,20 @@
-"""Fairness and efficiency predicates: EF1, balancedness, domination,
-Pareto-optimality and the envy graph with its cycle rotation."""
+"""Fairness and efficiency predicates: EF1, balancedness, Pareto-optimality
+and the envy graph."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
-from operator import ge, gt
+from operator import ge
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, NotACycle
+from .errors import BudgetExceeded
 from .model import (
     DEFAULT_ENUMERATION_CAP,
     Allocation,
     Instance,
     _check_pair,
-    agent_utilities,
     iter_allocations_scaled,
     mirror_allocations,
     scaled_rows,
@@ -24,20 +23,11 @@ from .model import (
 
 
 @dataclass(frozen=True)
-class DominationVerdict:
-    weak: bool
-    strong: bool
-
-
-@dataclass(frozen=True)
 class EnvyGraph:
     """Directed graph with an edge i -> j when i strictly prefers j's bundle."""
 
     n: int
     edges: frozenset[tuple[int, int]]
-
-    def successors(self, agent: int) -> tuple[int, ...]:
-        return tuple(sorted(j for i, j in self.edges if i == agent))
 
     def is_acyclic(self) -> bool:
         return self._kahn() is not None
@@ -64,34 +54,6 @@ class EnvyGraph:
                     if indegree[j] == 0:
                         heappush(ready, j)
         return tuple(order) if len(order) == self.n else None
-
-    def find_cycle(self) -> tuple[int, ...] | None:
-        """Some simple directed cycle, rotated so the smallest agent leads."""
-        color = {v: 0 for v in range(1, self.n + 1)}  # 0 new, 1 active, 2 done
-        stack: list[int] = []
-
-        def dfs(v: int) -> tuple[int, ...] | None:
-            color[v] = 1
-            stack.append(v)
-            for w in self.successors(v):
-                if color[w] == 1:
-                    cycle = stack[stack.index(w):]
-                    k = cycle.index(min(cycle))
-                    return tuple(cycle[k:] + cycle[:k])
-                if color[w] == 0:
-                    found = dfs(w)
-                    if found is not None:
-                        return found
-            color[v] = 2
-            stack.pop()
-            return None
-
-        for v in range(1, self.n + 1):
-            if color[v] == 0:
-                found = dfs(v)
-                if found is not None:
-                    return found
-        return None
 
 
 def is_balanced(alloc: Allocation) -> bool:
@@ -150,40 +112,28 @@ def weakly_dominates(x: Sequence, y: Sequence) -> bool:
     return all(map(ge, x, y))
 
 
-def strictly_dominates(x: Sequence, y: Sequence) -> bool:
-    """Does x weakly dominate y and beat it in at least one entry?"""
-    return weakly_dominates(x, y) and any(map(gt, x, y))
-
-
-def dominates(inst: Instance, b: Allocation, a: Allocation) -> DominationVerdict:
-    """Does b weakly/strongly dominate a?"""
-    ub = agent_utilities(inst, b)
-    ua = agent_utilities(inst, a)
-    return DominationVerdict(
-        weak=weakly_dominates(ub, ua), strong=strictly_dominates(ub, ua)
-    )
-
-
 def is_pareto_optimal(
     inst: Instance, alloc: Allocation, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> bool:
-    """Certify that no allocation (canonical ones suffice) strongly dominates this one."""
+    """Is the allocation's utility vector on the last Pareto front?
+
+    That front holds exactly the maximal achievable vectors, the ones with
+    no strict dominator. The front build counts against `cap` as in
+    `_pareto_fronts`.
+    """
     _check_pair(inst, alloc)
     _, rows = scaled_rows(inst)
-    base = scaled_utilities(rows, inst.n, alloc.owner)
-    return not any(
-        strictly_dominates(util, base)
-        for _, util in iter_allocations_scaled(inst, cap)
-    )
+    util = scaled_utilities(rows, inst.n, alloc.owner)
+    return tuple(util) in _pareto_fronts(inst, cap)[-1]
 
 
 def _maxima(vectors: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The distinct vectors that no other vector weakly dominates.
+    """The distinct vectors of which no other vector is a weak dominator.
 
     In lex-descending order every weak dominator of a vector comes before
-    it, and an earlier w has w[0] >= v[0], so it dominates v exactly when
-    w[1:] weakly dominates v[1:]. Each vector is therefore checked only
-    against the maximal tails of the maxima kept so far.
+    it, and an earlier w has w[0] >= v[0], so w is a weak dominator of v
+    exactly when w[1:] is one of v[1:]. Each vector is therefore checked
+    only against the maximal tails of the maxima kept so far.
     """
     kept: list[tuple[int, ...]] = []
     tails: list[tuple[int, ...]] = []
@@ -201,9 +151,9 @@ def _pareto_fronts(inst: Instance, cap: int) -> list[set[tuple[int, ...]]]:
     """fronts[k]: the maximal scaled utility vectors of allocations of goods 1..k.
 
     Pareto-optimality is hereditary on prefixes: a dominator of owner[:k],
-    extended by the same goods k+1..m, dominates the whole allocation, as
-    utilities are additive. So fronts[k] is the maxima of fronts[k - 1]
-    with good k added to each agent in turn. The n candidates formed per
+    extended by the same goods k+1..m, is a dominator of the whole
+    allocation, as utilities are additive. So fronts[k] is the maxima of
+    fronts[k - 1] with good k added to each agent in turn. The n candidates formed per
     vector count against `cap` under the enumerator's rule: never refused
     when n**m <= cap, else BudgetExceeded(cap + 1, cap) once over it.
     """
@@ -246,27 +196,3 @@ def pareto_optimal_allocations(
     ]
     for owner in mirror_allocations(inst, owners, cap):
         yield Allocation(inst.n, owner)
-
-
-def rotate_cycle(
-    inst: Instance, alloc: Allocation, cycle: Sequence[int]
-) -> Allocation:
-    """Shift bundles backward along an envy cycle.
-
-    Each agent in the cycle receives the bundle of the agent she envied;
-    agents outside the cycle keep theirs. The result strongly dominates the
-    input because every edge of the cycle is a strict improvement.
-    """
-    agents = tuple(cycle)
-    if len(agents) < 2 or len(set(agents)) != len(agents):
-        raise NotACycle(f"{agents} is not a simple cycle")
-    graph = envy_graph(inst, alloc)
-    for k, i in enumerate(agents):
-        j = agents[(k + 1) % len(agents)]
-        if (i, j) not in graph.edges:
-            raise NotACycle(f"missing envy edge {i} -> {j}")
-    receiver_of = {
-        agents[(k + 1) % len(agents)]: agents[k] for k in range(len(agents))
-    }
-    owner = tuple(receiver_of.get(a, a) for a in alloc.owner)
-    return Allocation(alloc.n, owner)

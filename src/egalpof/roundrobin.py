@@ -306,8 +306,8 @@ def dominating_rr_one_good(
     each one whose utilities strictly dominate the current ones. That meets
     the chain of restarting the scan after every move, where c_(i+1) is the
     lex-first strict dominator of c_i (c_0 the input): a strict dominator
-    of c_i also strictly dominates c_(i-1), of which c_i was the lex-first,
-    so it comes after c_i. The chain ends at a maximal element (under
+    of c_i is also one of c_(i-1), of which c_i was the lex-first, so it
+    comes after c_i. The chain ends at a maximal element (under
     strong domination) of the allocations weakly dominating the input; its
     envy graph is then acyclic, and running round-robin in reverse
     topological order with each agent's own good boosted within its tie

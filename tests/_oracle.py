@@ -9,7 +9,8 @@ allocations the filter admits. The round-robin allocations are those
 which each picker takes a free good it values most. `every_schedule_outcome`,
 which runs `run_round_robin` over every ordering and every profile of
 utility-refining priorities, gives the same set and is kept to check that.
-`restart_dominator` is the reference for `dominating_rr_one_good`.
+`restart_dominator` is the reference for `dominating_rr_one_good`, and
+`strictly_dominates` the reference Pareto relation on utility vectors.
 `fraction_validate_instance` and `fraction_normalize_instance` check and
 normalize rows with `Fraction` sums, the reference for the integer checks
 of `validate_instance` and `normalize_instance`. `ef1_by_pairs` is the
@@ -18,7 +19,7 @@ pair-by-pair reference for `is_ef1`.
 
 import itertools
 from fractions import Fraction
-from operator import ge
+from operator import ge, gt
 
 from egalpof import (
     DEFAULT_ENUMERATION_CAP,
@@ -151,6 +152,12 @@ def every_top_pick_outcome(inst):
             layer = picked
         outcomes |= layer
     return outcomes
+
+
+def strictly_dominates(x, y):
+    """Is every entry of utility vector x at least the matching entry of y,
+    and some entry greater?"""
+    return all(map(ge, x, y)) and any(map(gt, x, y))
 
 
 def restart_dominator(inst, alloc):

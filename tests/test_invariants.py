@@ -14,6 +14,7 @@ from _oracle import (
     every_schedule_outcome,
     every_top_pick_outcome,
     restart_dominator,
+    strictly_dominates,
 )
 from _strategies import instances, instances_with_allocation
 from egalpof import (
@@ -21,10 +22,8 @@ from egalpof import (
     Objective,
     PropertyFilter,
     balanced_from_mew,
-    bundle_utility,
     agent_utilities,
     default_schedule,
-    dominates,
     dominating_rr_one_good,
     egalitarian_welfare,
     enumerate_rr_allocations,
@@ -38,14 +37,12 @@ from egalpof import (
     normalize_instance,
     parse_instance_file,
     pareto_optimal_allocations,
-    rotate_cycle,
     rr_from_mew,
     run_round_robin,
     utilitarian_welfare,
     validate_instance,
     write_instance_file,
 )
-from egalpof.properties import strictly_dominates
 from egalpof.verify import _ef1_existential
 
 
@@ -69,18 +66,6 @@ def test_min_welfare_positive_iff_supported(pair):
         assert egalitarian_welfare(inst, alloc) == 0
 
 
-@given(instances(), st.data())
-def test_bundle_utility_additive_on_disjoint_sets(inst, data):
-    goods = list(inst.goods())
-    left = data.draw(st.sets(st.sampled_from(goods)))
-    rest = [g for g in goods if g not in left]
-    right = data.draw(st.sets(st.sampled_from(rest))) if rest else set()
-    for i in inst.agents():
-        assert bundle_utility(inst, i, left | right) == bundle_utility(
-            inst, i, left
-        ) + bundle_utility(inst, i, right)
-
-
 @given(
     st.lists(
         st.lists(st.integers(0, 30), min_size=3, max_size=3).filter(any),
@@ -100,16 +85,16 @@ def test_ef1_forms_agree(pair):
 
 
 @given(instances_with_allocation(max_m=4))
-def test_envy_cycle_rotation_strongly_dominates(pair):
+def test_envy_graph_edges_match_bundle_values(pair):
     inst, alloc = pair
     graph = envy_graph(inst, alloc)
-    value = [[bundle_utility(inst, i, alloc.bundle(j)) for j in inst.agents()] for i in inst.agents()]
+    value = [
+        [sum((inst.utility(i, g) for g in alloc.bundle(j)), F(0)) for j in inst.agents()]
+        for i in inst.agents()
+    ]
     assert graph.edges == {
         (i, j) for i in inst.agents() for j in inst.agents() if value[i - 1][i - 1] < value[i - 1][j - 1]
     }
-    cycle = graph.find_cycle()
-    if cycle is not None:
-        assert dominates(inst, rotate_cycle(inst, alloc, cycle), alloc).strong
 
 
 @settings(max_examples=50, deadline=None)

@@ -25,7 +25,6 @@ from egalpof import (
     TooFewAgents,
     ZeroRow,
     agent_utilities,
-    bundle_utility,
     egalitarian_welfare,
     extended_ratio,
     nash_welfare,
@@ -131,30 +130,6 @@ class TestNormalizeInstance:
     def test_already_normalized_is_identity(self):
         rows = [[F(1, 2), F(1, 2)], [F(1, 4), F(3, 4)]]
         assert normalize_instance(rows) == validate_instance(rows)
-
-
-class TestBundleUtility:
-    def test_partial_bundle(self):
-        inst = gen_thm4(F(1, 8))
-        assert bundle_utility(inst, 2, {2, 3}) == F(5, 8)
-
-    def test_empty_bundle(self):
-        inst = gen_thm4(F(1, 8))
-        assert bundle_utility(inst, 1, ()) == 0
-
-    def test_all_goods(self):
-        inst = gen_thm4(F(1, 8))
-        for i in inst.agents():
-            assert bundle_utility(inst, i, inst.goods()) == 1
-
-    def test_good_out_of_range(self):
-        inst = gen_thm4(F(1, 8))
-        with pytest.raises(GoodOutOfRange):
-            bundle_utility(inst, 1, {4})
-
-    def test_duplicates_count_once(self):
-        inst = gen_thm4(F(1, 8))
-        assert bundle_utility(inst, 1, [1, 1]) == F(1, 2)
 
 
 IDENTITY = validate_instance([[1, 0], [0, 1]])

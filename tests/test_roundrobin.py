@@ -12,7 +12,6 @@ from egalpof import (
     agent_utilities,
     balanced_from_mew,
     default_schedule,
-    dominates,
     dominating_rr_one_good,
     egalitarian_welfare,
     enumerate_rr_allocations,
@@ -24,6 +23,7 @@ from egalpof import (
     run_round_robin,
     validate_instance,
 )
+from egalpof.properties import weakly_dominates
 from egalpof.verify import random_instance
 
 IDENTITY = validate_instance([[1, 0], [0, 1]])
@@ -145,9 +145,10 @@ class TestBalancedFromMew:
 class TestDominatingRROneGood:
     def test_mixed_two_agents(self):
         inst = validate_instance([[F(1, 2), F(1, 2)], [F(3, 4), F(1, 4)]])
-        found, sched = dominating_rr_one_good(inst, Allocation(2, (1, 2)))
+        start = Allocation(2, (1, 2))
+        found, sched = dominating_rr_one_good(inst, start)
         assert found.owner == (2, 1)
-        assert dominates(inst, found, Allocation(2, (1, 2))).weak
+        assert weakly_dominates(agent_utilities(inst, found), agent_utilities(inst, start))
         assert run_round_robin(inst, sched).allocation == found
 
     def test_identity_fixed_point(self):
